@@ -17,6 +17,11 @@ exits when no insertion fits (as written it would spin forever), and a
 feasible seed that admits no extension is still recorded (as written,
 ``R ≠ R0`` silently drops it, returning "infeasible" under tight budgets
 where singleton solutions exist).
+
+With a :class:`~repro.core.frontier_cache.FrontierMemo` attached to the
+space, the maximal boundaries are stored under this algorithm's name
+and limit; a repeat solve at the same limit skips phase 1 and runs only
+the second phase, which re-checks the problem's own extra constraints.
 """
 
 from __future__ import annotations
@@ -86,6 +91,25 @@ class CMaxBounds(CQPAlgorithm):
     def _search(
         self, space: SearchSpace, stats: SearchStats
     ) -> Optional[Tuple[int, ...]]:
+        memo = space.frontier
+        if memo is None:
+            return find_max_doi_below(space, self._max_bounds(space, stats), stats)
+        # Phase 1 depends on the space and its limit alone, so a repeat
+        # solve at this exact limit reuses the stored maximal boundaries
+        # (in discovery order, which phase 2's tie-breaking follows).
+        stored, _ = memo.lookup(space.limit, self.name)
+        if stored is not None:
+            stats.frontier_cache_hits += 1
+            max_bounds = stored
+        else:
+            stats.frontier_cache_misses += 1
+            max_bounds = tuple(self._max_bounds(space, stats))
+            memo.store(space.limit, max_bounds, self.name)
+        return find_max_doi_below(space, max_bounds, stats)
+
+    @staticmethod
+    def _max_bounds(space: SearchSpace, stats: SearchStats) -> List[State]:
+        """Phase 1: the maximal boundaries, most recently grown first."""
         max_bounds: List[State] = []
         seen_bounds: Set[State] = set()
         book = PruneBook()
@@ -100,4 +124,4 @@ class CMaxBounds(CQPAlgorithm):
             if max_bounds:
                 last_solution_size = len(max_bounds[0])
             seed += 1
-        return find_max_doi_below(space, max_bounds, stats)
+        return max_bounds

@@ -63,6 +63,7 @@ class ParameterEstimator:
         self.base_size = self.cardinality.estimate(query)
         self.param_cache = param_cache
         self._query_fingerprint = to_sql(query) if param_cache is not None else ""
+        self.cache_lookups = 0  # param_cache.price calls made so far
 
     def subquery(self, path: PreferencePath) -> SelectQuery:
         """The sub-query ``q_i`` integrating one preference (Section 4.2)."""
@@ -90,6 +91,7 @@ class ParameterEstimator:
         """(cost, reduction) of a path, via the cross-request cache if any."""
         if self.param_cache is None:
             return self.path_cost(path), self.path_reduction(path)
+        self.cache_lookups += 1
         return self.param_cache.price(
             self._query_fingerprint,
             path,

@@ -30,7 +30,16 @@ that at two levels:
   the cached frontier's cones) and falls back to a cold sweep that
   still rides the shared evaluator.
 
-Frontiers are stored in **canonical** form — dominance-reduced to the
+* **Maximal-boundary memoization** — C-MAXBOUNDS stores the maximal
+  boundaries its greedy phase 1 grew in the same memo, under its own
+  algorithm name, and a repeat solve at the same limit skips phase 1.
+  Phase 1 reads only the budget, never the problem's extra predicates,
+  so the stored set is valid for every problem on that space and limit;
+  it is reused only on an exact limit match (a greedy set seeds
+  nothing) and kept in discovery order, not canonical form, because
+  phase 2's tie-breaking follows that order.
+
+C-BOUNDARIES frontiers are stored in **canonical** form — dominance-reduced to the
 true minimal boundary set and ordered by (group, rank tuple) — so the
 stored frontier is a property of the (space, limit) pair alone, not of
 any particular sweep's discovery order.
@@ -124,53 +133,73 @@ def space_signature(pspace) -> Tuple:
 
 
 class FrontierMemo:
-    """Per-(signature, vector, axis) store of limit → canonical frontier."""
+    """Per-(signature, vector, axis) store of (algorithm, limit) → states.
+
+    C-BOUNDARIES stores its canonical frontier here and C-MAXBOUNDS its
+    maximal-boundary set; entries are keyed by algorithm name as well
+    as limit, so neither ever reads the other's states (a heuristic
+    boundary set is no valid seed for the exact sweep).
+    """
 
     def __init__(self, cache: "FrontierCache") -> None:
         self._cache = cache
-        self._entries: "OrderedDict[float, Frontier]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, float], Frontier]" = OrderedDict()
+        # False once the cache has dropped this memo (eviction or flush):
+        # an in-flight solve may still store into it, but the cache's
+        # running tallies must no longer count what it holds.
+        self._attached = True
 
-    def lookup(self, limit: float) -> Tuple[Optional[Frontier], Optional[Frontier]]:
-        """``(exact, seeds)`` for a solve at ``limit``.
+    def lookup(
+        self, limit: float, algorithm: str = "c_boundaries"
+    ) -> Tuple[Optional[Frontier], Optional[Frontier]]:
+        """``(exact, seeds)`` for an ``algorithm`` solve at ``limit``.
 
-        ``exact`` is the stored frontier for this very limit (phase 1
-        can be skipped outright). Otherwise ``seeds`` is the frontier of
-        the *tightest looser* stored limit — the valid warm-start for a
+        ``exact`` is the stored entry for this very limit (phase 1 can
+        be skipped outright). Otherwise ``seeds`` is the entry of the
+        *tightest looser* stored limit — the valid warm-start for a
         downward resume — or ``None`` when only tighter limits (whose
         frontiers sit below the new boundaries) are cached.
         """
-        if self._cache.fault_hook is not None:
-            self._cache.fault_hook("frontier_cache.lookup")
-        with self._cache._lock:
-            exact = self._entries.get(limit)
+        cache = self._cache
+        if cache.fault_hook is not None:
+            cache.fault_hook("frontier_cache.lookup")
+        with cache._lock:
+            key = (algorithm, limit)
+            exact = self._entries.get(key)
             if exact is not None:
-                self._cache.hits += 1
-                self._entries.move_to_end(limit)
+                cache.hits += 1
+                self._entries.move_to_end(key)
                 return exact, None
-            self._cache.misses += 1
+            cache.misses += 1
             best_limit: Optional[float] = None
             seeds: Optional[Frontier] = None
-            for stored_limit, frontier in self._entries.items():
-                if stored_limit > limit and (
-                    best_limit is None or stored_limit < best_limit
+            for (stored_algorithm, stored_limit), frontier in self._entries.items():
+                if (
+                    stored_algorithm == algorithm
+                    and stored_limit > limit
+                    and (best_limit is None or stored_limit < best_limit)
                 ):
                     best_limit = stored_limit
                     seeds = frontier
             return None, seeds
 
-    def store(self, limit: float, frontier: Frontier) -> None:
+    def store(
+        self, limit: float, frontier: Frontier, algorithm: str = "c_boundaries"
+    ) -> None:
         cache = self._cache
+        key = (algorithm, limit)
         with cache._lock:
-            previous = self._entries.get(limit)
-            if previous is not None:
-                cache._frontier_bytes -= _frontier_nbytes(previous)
-            self._entries[limit] = frontier
-            cache._frontier_bytes += _frontier_nbytes(frontier)
-            self._entries.move_to_end(limit)
+            previous = self._entries.pop(key, None)
+            self._entries[key] = frontier
             while len(self._entries) > FRONTIER_LIMITS_PER_MEMO:
                 _, evicted = self._entries.popitem(last=False)
-                cache._frontier_bytes -= _frontier_nbytes(evicted)
-                cache.evictions += 1
+                if self._attached:
+                    cache._uncount(evicted)
+                    cache.evictions += 1
+            if self._attached:
+                if previous is not None:
+                    cache._uncount(previous)
+                cache._count(frontier)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -205,9 +234,11 @@ class FrontierCache(CacheStatsMixin):
         self._stats_token: Hashable = None
         self._lock = threading.Lock()
         self._init_stats()
-        # Incrementally maintained estimate of the bytes pinned by the
-        # stored frontiers (evaluator mask caches grow on demand and are
-        # estimated from their pinned parameter arrays in counters()).
+        # Running count and byte estimate of the stored frontiers, kept
+        # by store/evict/flush so counters() never walks the memos
+        # (evaluator mask caches grow on demand and are estimated from
+        # their pinned parameter arrays in counters()).
+        self._frontiers = 0
         self._frontier_bytes = 0
         self._evaluator_bytes = 0
         # Fault seam: when set, called (outside the lock) with the site
@@ -252,9 +283,21 @@ class FrontierCache(CacheStatsMixin):
         self._evaluators.clear()
         for memo in self._memos.values():
             memo._entries.clear()
+            memo._attached = False
         self._memos.clear()
+        self._frontiers = 0
         self._frontier_bytes = 0
         self._evaluator_bytes = 0
+
+    def _count(self, frontier: Frontier) -> None:
+        """Tally one stored frontier (caller holds the lock)."""
+        self._frontiers += 1
+        self._frontier_bytes += _frontier_nbytes(frontier)
+
+    def _uncount(self, frontier: Frontier) -> None:
+        """Untally one dropped frontier (caller holds the lock)."""
+        self._frontiers -= 1
+        self._frontier_bytes -= _frontier_nbytes(frontier)
 
     # -- the two entry points ------------------------------------------------------
 
@@ -302,8 +345,9 @@ class FrontierCache(CacheStatsMixin):
                 while len(self._memos) > self.capacity:
                     _, dropped = self._memos.popitem(last=False)
                     for frontier in dropped._entries.values():
-                        self._frontier_bytes -= _frontier_nbytes(frontier)
+                        self._uncount(frontier)
                         self.evictions += 1
+                    dropped._attached = False
             else:
                 self._memos.move_to_end(key)
             return memo
@@ -348,15 +392,15 @@ class FrontierCache(CacheStatsMixin):
             memo = self.memo_for(signature, tuple(vector), axis)
             if memo is None:
                 break  # capacity 0: a disabled cache restores nothing
-            for limit, frontier in entries:
-                memo.store(limit, tuple(tuple(s) for s in frontier))
+            for (algorithm, limit), frontier in entries:
+                memo.store(limit, tuple(tuple(s) for s in frontier), algorithm)
                 installed += 1
         return installed
 
     # -- introspection -------------------------------------------------------------
 
     def _stats_entries(self) -> int:
-        return sum(len(memo) for memo in self._memos.values())
+        return self._frontiers
 
     def _stats_bytes(self) -> int:
         return self._frontier_bytes + self._evaluator_bytes
@@ -364,7 +408,7 @@ class FrontierCache(CacheStatsMixin):
     def _stats_extra(self) -> Dict[str, int]:
         return {
             "evaluators": len(self._evaluators),
-            "frontiers": self._stats_entries(),
+            "frontiers": self._frontiers,
         }
 
     def counters(self) -> Dict[str, int]:

@@ -15,6 +15,14 @@ the (cost, reduction) pair under exactly that fingerprint:
 * **statistics** — the owning database's ``stats_token``, which changes
   on every ``analyze()``, data load, or index build.
 
+One level up, the same cache memoizes whole extractions
+(:meth:`ParameterCache.space`): the preference space Figure 3 extracts
+is a pure function of the profile's content, the query, the pruning
+constraints (``cmax``/``smin``), ``k_limit``, the doi algebra, the path
+length bound and the statistics, so a repeat request skips the profile
+walk altogether. Spaces share the entries' validity contract and
+telemetry block.
+
 Invalidation is automatic: entries are tagged with the statistics token
 they were priced under, and the first access after the token changes
 flushes the cache. :meth:`invalidate` is the explicit hook for callers
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.cache_stats import CacheStatsMixin
 from repro.preferences.model import PreferencePath
@@ -36,6 +44,10 @@ from repro.preferences.model import PreferencePath
 PricePair = Tuple[float, float]  # (cost, reduction)
 
 DEFAULT_CAPACITY = 65536
+# A memoized extraction holds a whole preference space — a few dozen
+# priced paths — so the space memo gets one slot per this many entries
+# of capacity (1024 spaces at the default).
+ENTRIES_PER_SPACE = 64
 
 
 class ParameterCache(CacheStatsMixin):
@@ -43,7 +55,9 @@ class ParameterCache(CacheStatsMixin):
 
     ``capacity`` bounds the entry count with LRU eviction; a capacity of
     0 disables storage entirely (every lookup misses), which is how the
-    benchmarks model the seed's cache-less behaviour.
+    benchmarks model the seed's cache-less behaviour. The extraction
+    memo is bounded at ``capacity // ENTRIES_PER_SPACE`` spaces (at
+    least one while the cache is enabled), also LRU.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -51,6 +65,9 @@ class ParameterCache(CacheStatsMixin):
             raise ValueError("capacity must be >= 0, got %r" % (capacity,))
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[str, Tuple], PricePair]" = OrderedDict()
+        self._spaces: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self.space_hits = 0
+        self.space_misses = 0
         self._stats_token: Hashable = None
         self._lock = threading.Lock()
         self._init_stats()
@@ -84,12 +101,7 @@ class ParameterCache(CacheStatsMixin):
             self.fault_hook("param_cache.price")
         key = (query_fingerprint, path.conditions)
         with self._lock:
-            if stats_token != self._stats_token:
-                if self._entries:
-                    self.invalidations += 1
-                self._entries.clear()
-                self._bytes = 0
-                self._stats_token = stats_token
+            self._validate_locked(stats_token)
             value = self._entries.get(key)
             if value is not None:
                 self.hits += 1
@@ -108,15 +120,70 @@ class ParameterCache(CacheStatsMixin):
                     self.evictions += 1
         return value
 
+    def space(self, key: Tuple, stats_token: Hashable, compute: Callable[[], Any]):
+        """The preference space extracted for ``key``, memoized.
+
+        ``key`` must name every input of the extraction except the
+        statistics, which ``stats_token`` covers exactly as in
+        :meth:`price`. The returned space is shared by every request
+        that hits it, so callers must treat it as read-only.
+
+        Telemetry reads as if the extraction had re-run against this
+        warm cache: a hit replays the space's ``cache_lookups`` pricing
+        lookups as hits, and a miss counts only the lookups its
+        extraction makes. Spaces count in ``entries`` and the byte
+        estimate; ``space_hits``/``space_misses`` tally this memo's own
+        lookups.
+        """
+        with self._lock:
+            self._validate_locked(stats_token)
+            pspace = self._spaces.get(key)
+            if pspace is not None:
+                self.hits += pspace.cache_lookups
+                self.space_hits += 1
+                self._spaces.move_to_end(key)
+                return pspace
+            self.space_misses += 1
+        pspace = compute()  # outside the lock: extraction prices paths
+        with self._lock:
+            limit = self._space_capacity()
+            if stats_token == self._stats_token and limit > 0:
+                previous = self._spaces.pop(key, None)
+                if previous is not None:
+                    self._bytes -= _space_nbytes(previous)
+                self._spaces[key] = pspace
+                self._bytes += _space_nbytes(pspace)
+                while len(self._spaces) > limit:
+                    _, evicted = self._spaces.popitem(last=False)
+                    self._bytes -= _space_nbytes(evicted)
+                    self.evictions += 1
+        return pspace
+
+    def _space_capacity(self) -> int:
+        if self.capacity == 0:
+            return 0
+        return max(1, self.capacity // ENTRIES_PER_SPACE)
+
     # -- maintenance ---------------------------------------------------------------
+
+    def _validate_locked(self, stats_token: Hashable) -> None:
+        """Flush everything priced under another statistics snapshot
+        (caller holds the lock)."""
+        if stats_token != self._stats_token:
+            self._flush_locked()
+            self._stats_token = stats_token
+
+    def _flush_locked(self) -> None:
+        if self._entries or self._spaces:
+            self.invalidations += 1
+        self._entries.clear()
+        self._spaces.clear()
+        self._bytes = 0
 
     def invalidate(self) -> None:
         """Explicitly drop every entry (statistics changed out of band)."""
         with self._lock:
-            if self._entries:
-                self.invalidations += 1
-            self._entries.clear()
-            self._bytes = 0
+            self._flush_locked()
             self._stats_token = None
 
     # -- persistence -----------------------------------------------------------------
@@ -145,6 +212,7 @@ class ParameterCache(CacheStatsMixin):
         with self._lock:
             if stats_token != self._stats_token:
                 self._entries.clear()
+                self._spaces.clear()
                 self._bytes = 0
                 self._stats_token = stats_token
             if self.capacity == 0:
@@ -162,7 +230,7 @@ class ParameterCache(CacheStatsMixin):
         return installed
 
     def _stats_entries(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._spaces)
 
     def _stats_bytes(self) -> int:
         return self._bytes
@@ -177,3 +245,9 @@ def _entry_nbytes(key: Tuple[str, Tuple]) -> int:
     condition object per path hop, and the two-float value."""
     fingerprint, conditions = key
     return 160 + len(fingerprint) + 96 * len(conditions)
+
+
+def _space_nbytes(pspace) -> int:
+    """A coarse per-space size estimate: the record itself plus, per
+    path, its condition tuple, four floats and three rank entries."""
+    return 512 + 256 * pspace.k

@@ -16,9 +16,14 @@ from typing import List, Optional, Union
 
 from repro.core import adapters
 from repro.core.frontier_cache import FrontierCache
+from repro.core.interning import profile_fingerprint
 from repro.core.param_cache import ParameterCache
-from repro.core.preference_space import PreferenceSpace, extract_preference_space
-from repro.core.problem import CQPProblem
+from repro.core.preference_space import (
+    DEFAULT_MAX_PATH_LENGTH,
+    PreferenceSpace,
+    extract_preference_space,
+)
+from repro.core.problem import Constraints, CQPProblem
 from repro.core.rewriter import QueryRewriter
 from repro.core.solution import CQPSolution
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
@@ -107,6 +112,45 @@ class Personalizer:
         self.param_cache.invalidate()
         self.frontier_cache.invalidate()
 
+    def _extract(
+        self,
+        query: SelectQuery,
+        profile: UserProfile,
+        constraints: Constraints,
+        k_limit: Optional[int],
+    ) -> PreferenceSpace:
+        """Figure 3's extraction, memoized in the parameter cache.
+
+        The key names every input of :func:`extract_preference_space`
+        but the statistics (the cache's ``stats_token`` covers those):
+        the profile's content, the query, the two constraints it prunes
+        on, ``k_limit``, the doi algebra and the path length bound. A
+        relearned profile fingerprints differently; a re-ANALYZE flushes
+        the memo.
+        """
+        key = (
+            profile_fingerprint(profile),
+            to_sql(query),
+            constraints.cmax,
+            constraints.smin,
+            k_limit,
+            self.algebra.signature,
+            DEFAULT_MAX_PATH_LENGTH,
+        )
+        return self.param_cache.space(
+            key,
+            self.database.stats_token,
+            lambda: extract_preference_space(
+                self.database,
+                query,
+                profile,
+                constraints=constraints,
+                algebra=self.algebra,
+                k_limit=k_limit,
+                param_cache=self.param_cache,
+            ),
+        )
+
     def personalize(
         self,
         query: Union[str, SelectQuery],
@@ -129,15 +173,7 @@ class Personalizer:
         # Stale search-layer entries die with the statistics snapshot,
         # exactly like the parameter cache's per-entry token check.
         self.frontier_cache.validate(self.database.stats_token)
-        pspace = extract_preference_space(
-            self.database,
-            query,
-            profile,
-            constraints=problem.constraints,
-            algebra=self.algebra,
-            k_limit=k_limit,
-            param_cache=self.param_cache,
-        )
+        pspace = self._extract(query, profile, problem.constraints, k_limit)
         if algorithm is None:
             # Problem-aware default: the greedy default is unreliable on
             # size-window problems (see adapters.recommended_algorithm).
@@ -235,15 +271,7 @@ class Personalizer:
         hits_before = self.param_cache.hits
         misses_before = self.param_cache.misses
         self.frontier_cache.validate(self.database.stats_token)
-        pspace = extract_preference_space(
-            self.database,
-            query,
-            profile,
-            constraints=problems[0].constraints,
-            algebra=self.algebra,
-            k_limit=k_limit,
-            param_cache=self.param_cache,
-        )
+        pspace = self._extract(query, profile, problems[0].constraints, k_limit)
         if pspace.k > 0:
             solutions = adapters.solve_many(
                 pspace,
@@ -289,7 +317,7 @@ class Personalizer:
 
         ``frame_cache`` (a :class:`repro.sql.columnar.FrameCache`)
         extends the columnar engine's base-frame sharing beyond this one
-        statement — the batched service path passes one per batch. The
+        statement — the service passes its service-lifetime cache. The
         row engine ignores it.
         """
         return self.executor.execute(outcome.personalized_query, frame_cache=frame_cache)

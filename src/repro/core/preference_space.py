@@ -62,6 +62,9 @@ class PreferenceSpace:
     vector_s: List[int]
     selection_times: Dict[str, float] = field(default_factory=dict)
     conflicts: List[Tuple[int, int]] = field(default_factory=list)
+    # Parameter-cache lookups the extraction made; a memoized space
+    # replays them as hits (see ParameterCache.space).
+    cache_lookups: int = 0
 
     @property
     def k(self) -> int:
@@ -239,6 +242,7 @@ def extract_preference_space(
             "s": extract_watch.elapsed - c_watch.elapsed,
         },
         conflicts=_path_conflicts(paths),
+        cache_lookups=estimator.cache_lookups,
     )
 
 

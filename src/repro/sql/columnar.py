@@ -263,9 +263,10 @@ class FrameCache(CacheStatsMixin):
 
     One instance spans whatever reuse scope its owner chooses: the
     executor creates a throwaway per-statement cache when none is
-    passed (sharing across UNION ALL branches), and
-    ``PersonalizationService.request_many`` passes one batch-scoped
-    instance so identical prefixes are shared across the whole batch.
+    passed (sharing across UNION ALL branches), and every
+    ``PersonalizationService`` owns one service-lifetime instance, so
+    identical prefixes — and whole repeated statements — are shared
+    across requests and batches.
     Entries are validated against the database's ``stats_token`` and
     dropped wholesale when the data changes.
 
@@ -731,7 +732,10 @@ class ColumnarExecutor:
         if plan is None:
             plan = Planner(self.database, use_indexes=self.use_indexes).plan(query)
             self._plan_cache[key] = plan
-            while len(self._plan_cache) > 128:
+            # As many plans as the frame cache holds entries: a plan
+            # evicted while its frames stay cached would re-plan on
+            # every repeat of its statement.
+            while len(self._plan_cache) > DEFAULT_FRAME_CAPACITY:
                 self._plan_cache.popitem(last=False)
         return plan
 
@@ -747,7 +751,7 @@ class ColumnarExecutor:
         """Execute a plan, metering I/O and per-selected-row CPU.
 
         ``frame_cache`` extends base-frame sharing beyond this statement
-        (e.g. one cache per ``request_many`` batch); when omitted a
+        (e.g. a service's lifetime cache); when omitted a
         statement-scoped cache still shares frames across the UNION ALL
         branches of this one query.
         """

@@ -48,7 +48,8 @@ from typing import Dict, Optional
 from repro.errors import StorageError
 from repro.storage.database import Database
 
-SNAPSHOT_FORMAT_VERSION = 1
+# 2: frontier memo entries are keyed by (algorithm, limit), not limit.
+SNAPSHOT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 CACHES_NAME = "caches.pkl"

@@ -10,7 +10,7 @@ Table 1 problem is solved at every point of
         × {serial, thread, process} × {batched, unbatched}
         × {sync, async serving}
 
-and checked two ways:
+and checked three ways:
 
 * **against the oracle** — an independent brute-force enumeration
   (:func:`exhaustive_oracle`) that shares nothing with the search
@@ -22,6 +22,11 @@ and checked two ways:
   identical** to the cold single-threaded reference, and on the service
   path identical *rows*: caches, engines and schedulers are claimed to
   be pure-reuse transformations, so any drift is a bug.
+* **against itself, warm** — every service-lattice point answers its
+  request set twice on one service; the second pass, served from the
+  service's own caches (frames, extraction memo, frontier memo), must
+  repeat the first pass's receipts, rows and simulated cost exactly and
+  pass the same oracle and reference checks.
 
 Every scenario is generated from one integer seed and every failure
 message carries ``(seed, problem, lattice point)`` — rerunning the
@@ -553,8 +558,11 @@ def run_service_lattice(
     :class:`~repro.core.service.PersonalizationService` at every lattice
     point; across points of one algorithm, the *rows* and the solution
     receipt must be identical, and exact algorithms must match the
-    oracle on the extracted space. ``problems`` defaults to all six
-    Table 1 instances scaled to the scenario's extracted space.
+    oracle on the extracted space. Every point then answers the same
+    batch again on the same service (the warm pass), which must repeat
+    the first pass bit for bit — receipts, rows and ``elapsed_ms`` —
+    and pass the same checks. ``problems`` defaults to all six Table 1
+    instances scaled to the scenario's extracted space.
     """
     from repro.core.personalizer import Personalizer
     from repro.core.service import BatchRequest, PersonalizationService
@@ -618,13 +626,27 @@ def run_service_lattice(
             )
             for number in numbers
         ]
-        passes = 2 if point.cache == "warm" else 1
-        for _ in range(passes):
+
+        def answer() -> List:
             if point.serving == "async":
-                responses = serve_batch_async(service, batch)
-            else:
-                responses = service.request_many(batch, max_workers=point.parallelism)
-        for number, response in zip(numbers, responses):
+                return serve_batch_async(service, batch)
+            return service.request_many(batch, max_workers=point.parallelism)
+
+        if point.cache == "warm":
+            answer()
+        first = answer()
+        warm = answer()
+        for number, before, after in zip(numbers, first, warm):
+            if (
+                Receipt.of(after.outcome.solution) != Receipt.of(before.outcome.solution)
+                or after.rows != before.rows
+                or after.elapsed_ms != before.elapsed_ms
+            ):
+                raise DifferentialFailure(
+                    "seed=%d problem=%d point=%s: the warm pass diverged from "
+                    "the first" % (seed, number, point)
+                )
+        for number, response in zip(numbers + numbers, first + warm):
             problem = problems[number]
             maximizing = problem.objective is Parameter.DOI
             receipt = Receipt.of(response.outcome.solution)

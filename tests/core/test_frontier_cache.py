@@ -234,6 +234,128 @@ class TestCacheMechanics:
         assert cache.counters()["frontiers"] == 0
 
 
+class TestMaxBoundsMemo:
+    """C-MAXBOUNDS stores its maximal boundaries in the memo, under its
+    own name: repeats skip phase 1, C-BOUNDARIES never reads them."""
+
+    PSPACE = staticmethod(TestCacheMechanics.PSPACE)
+
+    def _solve(self, pspace, cmax, cache, algorithm, smin=None):
+        problem = (
+            CQPProblem.problem2(cmax)
+            if smin is None
+            else CQPProblem.problem3(cmax=cmax, smin=smin)
+        )
+        space = SpaceBundle(pspace, problem, frontier_cache=cache).cost_space()
+        return get_algorithm(algorithm).solve(space)
+
+    def test_repeat_skips_phase_one(self):
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        first = self._solve(pspace, 185.0, cache, "c_maxbounds")
+        again = self._solve(pspace, 185.0, cache, "c_maxbounds")
+        cold = adapters.solve(pspace, CQPProblem.problem2(185.0), "c_maxbounds")
+        assert (first.stats.frontier_cache_hits, first.stats.frontier_cache_misses) == (0, 1)
+        assert (again.stats.frontier_cache_hits, again.stats.frontier_cache_misses) == (1, 0)
+        assert again.stats.states_examined < first.stats.states_examined
+        for solution in (first, again):
+            assert solution.pref_indices == cold.pref_indices
+            assert (solution.doi, solution.cost, solution.size) == (
+                cold.doi, cold.cost, cold.size
+            )
+
+    def test_stored_bounds_serve_problems_with_extra_constraints(self):
+        # Phase 1 reads only the budget, so bounds stored by a Problem 2
+        # solve are valid for a Problem 3 solve at the same cmax: phase
+        # 2 re-checks the size window.
+        pspace = make_synthetic_pspace(
+            (0.9, 0.8, 0.7, 0.6, 0.5),
+            (110.0, 80.0, 60.0, 45.0, 35.0),
+            sizes=(500.0, 400.0, 800.0, 900.0, 950.0),
+        )
+        cache = FrontierCache()
+        unwindowed = self._solve(pspace, 185.0, cache, "c_maxbounds")
+        warm = self._solve(pspace, 185.0, cache, "c_maxbounds", smin=300.0)
+        cold = adapters.solve(
+            pspace, CQPProblem.problem3(cmax=185.0, smin=300.0), "c_maxbounds"
+        )
+        assert warm.stats.frontier_cache_hits == 1
+        assert unwindowed.size < 300.0 <= warm.size  # the window binds
+        assert warm.pref_indices == cold.pref_indices
+        assert (warm.doi, warm.cost, warm.size) == (cold.doi, cold.cost, cold.size)
+
+    def test_c_boundaries_never_reads_a_max_bounds_entry(self):
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        self._solve(pspace, 185.0, cache, "c_maxbounds")
+        # Same limit: no exact hit on the heuristic's entry.
+        same = self._solve(pspace, 185.0, cache, "c_boundaries")
+        assert same.stats.frontier_cache_hits == 0
+        # Tighter limit: the heuristic's entry is no warm-start seed.
+        cache = FrontierCache()
+        self._solve(pspace, 185.0, cache, "c_maxbounds")
+        tighter = self._solve(pspace, 170.0, cache, "c_boundaries")
+        assert tighter.stats.states_warm_started == 0
+        cold = adapters.solve(pspace, CQPProblem.problem2(170.0), "c_boundaries")
+        assert tighter.pref_indices == cold.pref_indices
+
+    def test_memo_keys_carry_the_algorithm(self):
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        self._solve(pspace, 185.0, cache, "c_maxbounds")
+        self._solve(pspace, 185.0, cache, "c_boundaries")
+        (memo,) = cache._memos.values()
+        assert sorted(memo._entries) == [
+            ("c_boundaries", 185.0),
+            ("c_maxbounds", 185.0),
+        ]
+
+
+def _brute_force_frontiers(cache):
+    return sum(len(memo) for memo in cache._memos.values())
+
+
+class TestFrontierCount:
+    """counters() reads a running frontier count, never walks the memos."""
+
+    def test_count_tracks_stores_evictions_and_flush(self):
+        from repro.core.frontier_cache import FRONTIER_LIMITS_PER_MEMO
+
+        cache = FrontierCache(capacity=2)
+        frontier = ((0,), (1, 2))
+        memos = [cache.memo_for(("sig", n), (0, 1, 2), "cost") for n in range(2)]
+        for limit in range(FRONTIER_LIMITS_PER_MEMO + 5):  # per-memo evictions
+            memos[0].store(float(limit), frontier)
+            memos[0].store(float(limit), frontier, "c_maxbounds")
+            assert cache.counters()["frontiers"] == _brute_force_frontiers(cache)
+        memos[1].store(1.0, frontier)
+        memos[1].store(1.0, frontier)  # overwrite: no double count
+        assert cache.counters()["frontiers"] == _brute_force_frontiers(cache)
+        evictions = cache.evictions
+        cache.memo_for(("sig", 2), (0, 1, 2), "cost")  # evicts memos[0]
+        assert cache.evictions == evictions + FRONTIER_LIMITS_PER_MEMO
+        assert cache.counters()["frontiers"] == _brute_force_frontiers(cache) == 1
+        # A solve still holding an evicted memo may store into it; the
+        # cache no longer counts it.
+        memos[0].store(999.0, frontier)
+        assert cache.counters()["frontiers"] == _brute_force_frontiers(cache)
+        cache.invalidate()
+        assert cache.counters()["frontiers"] == _brute_force_frontiers(cache) == 0
+        assert cache.counters()["bytes_estimate"] == 0
+        memos[1].store(2.0, frontier)  # flushed memo: detached too
+        assert cache.counters()["frontiers"] == 0
+
+    def test_count_matches_after_real_solves(self):
+        pspace = TestCacheMechanics.PSPACE()
+        cache = FrontierCache()
+        for cmax in (225.0, 185.0, 140.0, 185.0):
+            for algorithm in ("c_boundaries", "c_maxbounds"):
+                adapters.solve(
+                    pspace, CQPProblem.problem2(cmax), algorithm, frontier_cache=cache
+                )
+        assert cache.counters()["frontiers"] == _brute_force_frontiers(cache) == 6
+
+
 class TestCanonicalFrontier:
     def test_dominated_states_dropped(self):
         # (1, 3) dominates (0, 2) componentwise, so it is covered and

@@ -338,3 +338,119 @@ class TestDegradedSemantics:
         )
         assert response.fallbacks_taken == 0
         assert response.degraded
+
+
+class TestWarmRepeat:
+    """A repeat request is answered from the service's caches — frames,
+    extraction memo, C-MAXBOUNDS memo — with a bit-identical answer."""
+
+    QUERY = "select title from MOVIE where year >= 1990"
+    PROBLEM = CQPProblem.problem2(cmax=400.0)
+
+    @staticmethod
+    def _ask(service, database, user="al", query=QUERY, problem=PROBLEM):
+        """One request plus the blocks its execution read."""
+        blocks_before = database.device.total_blocks_read
+        response = service.request(user, query, problem=problem, k_limit=10)
+        return response, database.device.total_blocks_read - blocks_before
+
+    @staticmethod
+    def _observable(response, blocks):
+        from repro.testing.differential import Receipt
+
+        return (
+            response.rows,
+            response.elapsed_ms,
+            blocks,
+            response.outcome.sql,
+            Receipt.of(response.outcome.solution),
+        )
+
+    def test_second_identical_request_is_bit_identical(self, movie_db, movie_profile):
+        service = PersonalizationService(movie_db)
+        service.register("al", movie_profile)
+        first, first_blocks = self._ask(service, movie_db)
+        second, second_blocks = self._ask(service, movie_db)
+        assert first.personalized and first_blocks > 0
+        assert self._observable(second, second_blocks) == self._observable(
+            first, first_blocks
+        )
+        assert first.outcome.solution.algorithm == "c_maxbounds"
+        assert second.frame_cache_hits > 0
+        assert second.frame_cache_misses == 0
+        assert second.frontier_cache_hits == 1
+        assert second.outcome.preference_space is first.outcome.preference_space
+        assert service.param_cache.space_hits == 1
+        # The replayed pricing lookups keep the telemetry as if the
+        # extraction had re-run against the warm cache.
+        assert second.outcome.solution.stats.param_cache_misses == 0
+        assert second.outcome.solution.stats.param_cache_hits == (
+            first.outcome.solution.stats.param_cache_hits
+            + first.outcome.solution.stats.param_cache_misses
+        )
+
+    def test_repeat_batches_share_the_service_frame_cache(self, movie_db, movie_profile):
+        service = PersonalizationService(movie_db)
+        service.register("al", movie_profile)
+        batch = [BatchRequest("al", self.QUERY, problem=self.PROBLEM, k_limit=10)]
+        first = service.request_many(batch)[0]
+        second = service.request_many(batch)[0]
+        assert second.frame_cache_hits > 0 and second.frame_cache_misses == 0
+        assert second.rows == first.rows
+        assert second.elapsed_ms == first.elapsed_ms
+        assert second.cache_telemetry["frame_cache"]["entries"] > 0
+
+    def test_analyze_invalidates_the_extraction_memo(self):
+        from repro.datasets.movies import MovieDatasetConfig, build_movie_database
+        from repro.workloads.profiles import generate_profile
+
+        database = build_movie_database(
+            MovieDatasetConfig(n_movies=200, n_directors=40, n_actors=80), seed=7
+        )
+        profile = generate_profile(database, seed=99)
+        # Double MOVIE without re-analyzing: the catalog goes stale.
+        movies = list(database.table("MOVIE").rows())
+        top = max(row[0] for row in movies)
+        database.load(
+            "MOVIE", [(top + 1 + i,) + tuple(row[1:]) for i, row in enumerate(movies)]
+        )
+        service = PersonalizationService(database)
+        service.register("al", profile)
+        first, _ = self._ask(service, database)
+        database.analyze()
+        misses = service.param_cache.space_misses
+        second, second_blocks = self._ask(service, database)
+        assert service.param_cache.space_misses == misses + 1
+        stale, fresh_space = first.outcome.preference_space, second.outcome.preference_space
+        assert fresh_space is not stale
+        assert fresh_space.base_size == 2 * stale.base_size
+        assert fresh_space.size_values != stale.size_values
+        # Accordingly: exactly what a service that never saw the old
+        # statistics answers now.
+        fresh = PersonalizationService(database)
+        fresh.register("al", profile)
+        assert self._observable(second, second_blocks) == self._observable(
+            *self._ask(fresh, database)
+        )
+
+    def test_relearn_invalidates_the_extraction_memo(self, movie_db):
+        service = PersonalizationService(movie_db)
+        service.register("cara")
+        genre = movie_db.table("GENRE").column("genre")[0]
+        learned_from = (
+            "select title from MOVIE M, GENRE G "
+            "where M.mid = G.mid and G.genre = '%s'" % genre
+        )
+        problem = CQPProblem.problem2(cmax=1e9)
+        before, _ = self._ask(service, movie_db, "cara", learned_from, problem)
+        assert not before.personalized  # the empty profile has nothing to add
+        profile = service.relearn_now("cara")
+        misses = service.param_cache.space_misses
+        after, blocks = self._ask(service, movie_db, "cara", learned_from, problem)
+        assert service.param_cache.space_misses == misses + 1
+        assert after.outcome.preference_space.k > before.outcome.preference_space.k
+        fresh = PersonalizationService(movie_db)
+        fresh.register("cara", profile)
+        assert self._observable(after, blocks) == self._observable(
+            *self._ask(fresh, movie_db, "cara", learned_from, problem)
+        )

@@ -224,6 +224,36 @@ class TestHarnessSensitivity:
                 points=[LatticePoint("c_boundaries", cache="warm")],
             )
 
+    def test_warm_pass_divergence_is_caught(
+        self, monkeypatch, movie_db, movie_profile, movie_query
+    ):
+        # A cache that serves a repeat request a different answer than
+        # it served the first time: the warm pass must flag it.
+        from dataclasses import replace
+
+        from repro.core.service import PersonalizationService
+
+        real_request_many = PersonalizationService.request_many
+        calls = []
+
+        def stale_on_repeat(self, requests, *args, **kwargs):
+            responses = real_request_many(self, requests, *args, **kwargs)
+            calls.append(self)
+            if calls.count(self) == 1:
+                return responses
+            return [replace(r, elapsed_ms=r.elapsed_ms + 1.0) for r in responses]
+
+        monkeypatch.setattr(PersonalizationService, "request_many", stale_on_repeat)
+        with pytest.raises(DifferentialFailure) as failure:
+            run_service_lattice(
+                movie_db,
+                movie_profile,
+                movie_query,
+                seed=1234,
+                points=[LatticePoint("c_maxbounds", cache="on")],
+            )
+        assert "warm pass" in str(failure.value)
+
     def test_oracle_agrees_with_exhaustive_algorithm(self):
         # The oracle is only independent — not privileged. On healthy
         # code it must match the registered exhaustive algorithm
