@@ -104,15 +104,15 @@ def solution_key(solution: Optional[CQPSolution]) -> Optional[Tuple]:
 
 def run_stream(pspace, stream: List[CQPProblem],
                cache: Optional[FrontierCache], parallelism: int = 1,
-               backend: str = "thread",
                ) -> Tuple[float, List[Optional[Tuple]]]:
     solve = lambda problem: adapters.solve(  # noqa: E731
         pspace, problem, "c_boundaries", frontier_cache=cache
     )
     started = time.perf_counter()
-    if parallelism > 1 and backend == "process":
+    if parallelism > 1:
         # Round-robin chunks: one structurally batched SolvePlan per
-        # forked worker; timing includes the pool spin-up on purpose.
+        # forked worker (serial where the platform cannot fork); timing
+        # includes the pool spin-up on purpose.
         chunks = [stream[i::parallelism] for i in range(parallelism)]
         plans = [
             SolvePlan(pspace, tuple(chunk), algorithm="c_boundaries")
@@ -123,8 +123,6 @@ def run_stream(pspace, stream: List[CQPProblem],
         solutions: List = [None] * len(stream)
         for offset, chunk_solutions in enumerate(solved):
             solutions[offset::parallelism] = chunk_solutions
-    elif parallelism > 1:
-        solutions = SolveScheduler(parallelism, backend=backend).map(solve, stream)
     else:
         solutions = [solve(problem) for problem in stream]
     elapsed = time.perf_counter() - started
@@ -163,7 +161,6 @@ def main() -> int:
             warm_s, warm_keys = run_stream(pspace, stream, cache=warm_cache)
             par_s, par_keys = run_stream(
                 pspace, stream, cache=parallel_cache, parallelism=PARALLELISM,
-                backend="process" if fork_available() else "thread",
             )
             assert warm_keys == cold_keys, "warm diverged on %s/%d" % (axis, seed)
             assert par_keys == cold_keys, "parallel diverged on %s/%d" % (axis, seed)
@@ -201,7 +198,7 @@ def main() -> int:
             "n_smin_steps": n_smin,
             "repeats": repeats,
             "parallelism": PARALLELISM,
-            "parallel_backend": "process" if fork_available() else "thread",
+            "parallel_backend": "process" if fork_available() else "serial",
             "quick": args.quick,
         },
         "modes": modes,

@@ -26,6 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.algorithms.base import get_algorithm
+from repro.core.algorithms.batch import stacked_frontiers, stacked_supported
+from repro.core.frontier_cache import FrontierCache
 from repro.core.preference_space import PreferenceSpace
 from repro.core.problem import CQPProblem, Parameter
 from repro.core.solution import CQPSolution
@@ -208,9 +210,6 @@ def solve_many(
     a caller-supplied cache (including a disabled 0-capacity one) is
     used as-is, so cache semantics match looping :func:`solve`.
     """
-    from repro.core.algorithms.batch import stacked_frontiers, stacked_supported
-    from repro.core.frontier_cache import FrontierCache
-
     problems = list(problems)
     if algorithms is None:
         resolved = [algorithm] * len(problems)

@@ -16,20 +16,20 @@ Two independent levers on search-layer throughput:
   flavor is the ``backend``:
 
   - ``"serial"`` — a plain loop on the calling thread; the reference
-    semantics every other backend must reproduce bit-identically.
-  - ``"thread"`` — a :class:`ThreadPoolExecutor`. Cheap to enter, but
-    the solves are CPU-bound Python, so the GIL caps it at ~1x; it
-    pays only when tasks block (I/O, foreign kernels).
-  - ``"process"`` — a fork-context :class:`ProcessPoolExecutor`.
-    Workers are forked, so closures and unpicklable items reach them
-    by inheritance (:data:`_FORK_TASK`); only results are pickled
-    back. This is the backend that escapes the GIL.
-  - ``"auto"`` (default) — ``serial`` whenever the fan-out cannot pay:
-    ``parallelism <= 1``, a degenerate batch, or a single-CPU host.
-    Otherwise ``thread`` for :meth:`map` (arbitrary results, shared
-    caches) and ``process`` for :meth:`solve_plans` (picklable,
-    CPU-bound). Auto can therefore never make ``parallelism=4``
-    slower than ``parallelism=1`` on hardware that cannot parallelize.
+    semantics the process backend must reproduce bit-identically.
+  - ``"process"`` — a fork-context :class:`ProcessPoolExecutor` of
+    ``parallelism`` workers. Workers are forked, so closures and
+    unpicklable items reach them by inheritance (:data:`_FORK_TASK`);
+    only results are pickled back. This is the backend that escapes
+    the GIL. A platform without fork runs it serially.
+  - ``"auto"`` (default) — ``process`` for :meth:`solve_plans`
+    (picklable, CPU-bound) on a multi-CPU host that can fork, and
+    ``serial`` everywhere else: :meth:`map`'s tasks share the
+    caller's caches, which a forked worker cannot write back, and a
+    pool spun up per call lost to the plain loop on them (a thread
+    pool ran at 0.75x serial, the process-backed ``request_many`` at
+    about 0.5x warm). Auto can therefore never make ``parallelism=4``
+    slower than ``parallelism=1``.
 
 Solutions are schedule-independent by construction (each solve is
 self-contained; shared caches only memoize pure functions), so
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -79,7 +79,7 @@ from repro.core.stats import SearchStats
 T = TypeVar("T")
 R = TypeVar("R")
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 # Sentinel for "every attempt failed; degrade on the calling thread".
 _PENDING = object()
@@ -281,23 +281,17 @@ class SolveScheduler:
     def _resolve_backend(self, count: int, plans: bool) -> str:
         """The backend this batch actually runs on.
 
-        Degenerate batches and ``parallelism <= 1`` always run serial
-        (no pool spin-up, bit-identical to a loop). ``auto`` also runs
-        serial on single-CPU hosts — there a pool is pure overhead —
-        and otherwise picks ``process`` for picklable plan batches and
-        ``thread`` for generic tasks. An explicit ``process`` request
-        on a fork-less platform degrades to ``thread``.
+        Degenerate batches, ``parallelism <= 1`` and fork-less
+        platforms always run serial (no pool spin-up, bit-identical to
+        a loop). ``auto`` picks ``process`` only for picklable plan
+        batches on a multi-CPU host; generic tasks run serial.
         """
-        if self.parallelism <= 1 or count <= 1:
+        if self.parallelism <= 1 or count <= 1 or not fork_available():
             return "serial"
-        backend = self.backend
-        if backend == "auto":
-            if (os.cpu_count() or 1) <= 1:
-                return "serial"
-            backend = "process" if plans and fork_available() else "thread"
-        if backend == "process" and not fork_available():
-            backend = "thread"
-        return backend
+        if self.backend == "auto":
+            plans_pay = plans and (os.cpu_count() or 1) > 1
+            return "process" if plans_pay else "serial"
+        return self.backend
 
     # -- attempt / retry machinery -------------------------------------------------
 
@@ -391,24 +385,7 @@ class SolveScheduler:
             out.append(result)
         return out
 
-    # -- the three pool flavors ----------------------------------------------------
-
-    def _map_thread(
-        self, fn: Callable[[T], R], work: Sequence[T], fallback
-    ) -> List[R]:
-        workers = min(self.parallelism, len(work))
-
-        def guarded(item: T):
-            for _ in range(self.retries + 1):
-                try:
-                    return self._attempt(fn, item)
-                except TransientFault:
-                    self.faults_seen += 1
-            return _PENDING  # degrade on the calling thread, in order
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(guarded, work))
-        return self._settle(work, results, fallback)
+    # -- the process pool ----------------------------------------------------------
 
     def _map_process(
         self, fn: Callable[[T], R], work: Sequence[T], fallback, encode, decode
@@ -465,16 +442,14 @@ class SolveScheduler:
         ``encode``/``decode`` are the process backend's pickle-slimming
         seam: ``encode(result)`` runs in the worker to shrink what
         crosses the pipe, ``decode(payload, index)`` runs in the parent
-        to rebuild the full result. In-process backends (serial/thread)
-        and fallback results skip both — the caller must make
+        to rebuild the full result. The serial backend and fallback
+        results skip both — the caller must make
         ``decode(encode(r), i)`` equivalent to ``r`` for every consumer.
         """
         work: Sequence[T] = list(items)
         backend = self._resolve_backend(len(work), plans=False)
         if backend == "serial":
             return [self._run_one(fn, item, fallback) for item in work]
-        if backend == "thread":
-            return self._map_thread(fn, work, fallback)
         return self._map_process(fn, work, fallback, encode, decode)
 
     def solve_plans(
@@ -486,7 +461,7 @@ class SolveScheduler:
 
         Plans are picklable, so the process backend ships them by value
         to a **persistent** pool of warm workers (per-worker frontier
-        caches survive across calls); serial and thread backends run
+        caches survive across calls); the serial backend runs
         ``plan.run()`` with a plan-local cache, which is bit-identical.
         The default fallback is a cold ``plan.run()`` on the calling
         thread — a plan is a pure function of its inputs, so the
@@ -499,8 +474,6 @@ class SolveScheduler:
         runner = lambda plan: plan.run()  # noqa: E731
         if backend == "serial":
             return [self._run_one(runner, plan, fallback) for plan in work]
-        if backend == "thread":
-            return self._map_thread(runner, work, fallback)
         results: List = [_PENDING] * len(work)
         pool = self._ensure_plan_pool(min(self.parallelism, len(work)))
         self._drive_rounds(

@@ -1,6 +1,7 @@
 """The end-to-end façade wiring Figure 2's architecture together.
 
-``Personalizer.personalize`` runs the full pipeline for one request:
+``Personalizer.personalize_many`` runs the full pipeline for one query
+under one or more problems (``personalize`` is the one-problem call):
 
 1. *Preference Space* — extract P (and D/C/S) from the profile;
 2. *CQP State Space Search* — solve the given Table 1 problem;
@@ -26,6 +27,7 @@ from repro.core.preference_space import (
 from repro.core.problem import Constraints, CQPProblem
 from repro.core.rewriter import QueryRewriter
 from repro.core.solution import CQPSolution
+from repro.errors import PreferenceError
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.model import PreferencePath
 from repro.preferences.profile import UserProfile
@@ -159,63 +161,17 @@ class Personalizer:
         algorithm: Optional[str] = None,
         k_limit: Optional[int] = None,
     ) -> PersonalizationOutcome:
-        """Personalize ``query`` for ``profile`` under ``problem``.
+        """Personalize ``query`` for ``profile`` under ``problem``: a
+        :meth:`personalize_many` call with one problem.
 
         When no personalized query satisfies the constraints, the
         outcome carries the original query unchanged
         (``outcome.personalized`` is False) rather than failing: an
         unpersonalized answer beats no answer.
         """
-        if isinstance(query, str):
-            query = parse_select(query)
-        hits_before = self.param_cache.hits
-        misses_before = self.param_cache.misses
-        # Stale search-layer entries die with the statistics snapshot,
-        # exactly like the parameter cache's per-entry token check.
-        self.frontier_cache.validate(self.database.stats_token)
-        pspace = self._extract(query, profile, problem.constraints, k_limit)
-        if algorithm is None:
-            # Problem-aware default: the greedy default is unreliable on
-            # size-window problems (see adapters.recommended_algorithm).
-            algorithm = (
-                self.default_algorithm
-                if not problem.constraints.has_size_bounds
-                else adapters.recommended_algorithm(problem)
-            )
-        solution = (
-            adapters.solve(
-                pspace,
-                problem,
-                algorithm,
-                mask_kernel=self.mask_kernel,
-                frontier_cache=self.frontier_cache,
-            )
-            if pspace.k > 0
-            else None
-        )
-        if solution is not None:
-            # Surface this request's share of the cross-request cache
-            # traffic on the solution's stats record.
-            solution.stats.param_cache_hits += self.param_cache.hits - hits_before
-            solution.stats.param_cache_misses += (
-                self.param_cache.misses - misses_before
-            )
-        paths = (
-            [pspace.paths[i] for i in solution.pref_indices]
-            if solution is not None
-            else []
-        )
-        personalized_query = QueryRewriter(
-            query, schema=self.database.schema
-        ).personalized_query(paths)
-        return PersonalizationOutcome(
-            problem=problem,
-            original_query=query,
-            personalized_query=personalized_query,
-            solution=solution,
-            paths=paths,
-            preference_space=pspace,
-        )
+        return self.personalize_many(
+            query, profile, [problem], algorithms=[algorithm], k_limit=k_limit
+        )[0]
 
     def personalize_many(
         self,
@@ -227,12 +183,14 @@ class Personalizer:
     ) -> List[PersonalizationOutcome]:
         """Personalize one query under many problems, extracting once.
 
-        The batched twin of :meth:`personalize` for same-space request
-        groups: extraction (the expensive profile walk) runs once, and
-        the solves go through :func:`repro.core.adapters.solve_many`,
-        which dedupes identical requests and primes the frontier memo
-        from the stacked batch kernel. Every outcome is bit-identical
-        to what a :meth:`personalize` loop would return.
+        Extraction (the expensive profile walk) runs once, and the
+        solves go through :func:`repro.core.adapters.solve_many`, which
+        dedupes identical requests and primes the frontier memo from the
+        stacked batch kernel. Every outcome is bit-identical to what a
+        :meth:`personalize` loop would return. ``algorithms`` names one
+        algorithm per problem; ``None`` (for the list or an entry) picks
+        the problem-aware default: the greedy default is unreliable on
+        size-window problems (see ``adapters.recommended_algorithm``).
 
         All problems must agree on the constraint fields extraction
         prunes on (``cmax`` and ``smin`` — see
@@ -241,8 +199,6 @@ class Personalizer:
         delta is attributed to the first solved outcome (per-member
         attribution is meaningless once pricing is shared).
         """
-        from repro.errors import PreferenceError
-
         if isinstance(query, str):
             query = parse_select(query)
         if not problems:
@@ -270,6 +226,8 @@ class Personalizer:
 
         hits_before = self.param_cache.hits
         misses_before = self.param_cache.misses
+        # Stale search-layer entries die with the statistics snapshot,
+        # exactly like the parameter cache's per-entry token check.
         self.frontier_cache.validate(self.database.stats_token)
         pspace = self._extract(query, profile, problems[0].constraints, k_limit)
         if pspace.k > 0:

@@ -18,8 +18,8 @@ as the search context at the time of the request."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.algorithms.scheduler import SolveScheduler
 from repro.core.context import SearchContext, problem_for_context
@@ -35,7 +35,6 @@ from repro.preferences.profile import UserProfile
 from repro.sql.ast_nodes import SelectQuery
 from repro.sql.columnar import FrameCache
 from repro.sql.parser import parse_select
-from repro.sql.printer import to_sql
 from repro.storage.database import Database
 from repro.storage.table import Row
 
@@ -120,6 +119,29 @@ class BatchRequest:
     k_limit: Optional[int] = None
 
 
+class _Cluster(NamedTuple):
+    """One scheduler task of :meth:`PersonalizationService.request_many`:
+    the request groups that share an extraction (user, query, k_limit,
+    cmax, smin), answered by one ``personalize_many`` call."""
+
+    query: SelectQuery
+    profile: UserProfile
+    k_limit: Optional[int]
+    problems: List[CQPProblem]
+    algorithms: List[Optional[str]]
+    group_indices: List[int]  # positions in the batch's group order
+
+
+def _encode_outcomes(outcomes: List[PersonalizationOutcome]) -> List[Tuple]:
+    """Pickle-slimming seam for the process backend: a worker ships only
+    each outcome's (solution, paths) — the parts that are pure solver
+    output. Rebuilt outcomes carry ``preference_space=None`` (the space
+    is worker-local solver state, expensive to pickle and unused
+    downstream); the in-process path and fallbacks return full
+    outcomes."""
+    return [(outcome.solution, outcome.paths) for outcome in outcomes]
+
+
 class PersonalizationService:
     """Multi-user façade over one database."""
 
@@ -138,7 +160,6 @@ class PersonalizationService:
         fault_injector=None,
         solve_retries: int = 1,
         backend: str = "auto",
-        structural_batching: bool = True,
         snapshot=None,
     ) -> None:
         """``relearn_every``: after that many requests a user's profile is
@@ -162,13 +183,10 @@ class PersonalizationService:
         :class:`~repro.core.algorithms.scheduler.SolveScheduler`).
 
         ``backend`` picks the scheduler's pool flavor for the fan-out
-        (``"auto"``/``"serial"``/``"thread"``/``"process"`` — see the
-        scheduler module; auto degrades to serial whenever a pool
-        cannot pay). ``structural_batching`` clusters same-extraction
-        request groups into one :meth:`Personalizer.personalize_many`
-        call each, so extraction runs once per cluster and the solves
-        share the stacked frontier kernel; responses stay bit-identical
-        to the group-at-a-time path.
+        (``"auto"``/``"serial"``/``"process"`` — see the scheduler
+        module; auto runs :meth:`request_many`'s tasks serially, and
+        ``"process"`` forks ``parallelism`` workers where the platform
+        can fork).
 
         Every service owns one service-lifetime
         :class:`~repro.sql.columnar.FrameCache` (``frame_cache``), with
@@ -195,7 +213,6 @@ class PersonalizationService:
         self.parallelism = parallelism
         self.solve_retries = solve_retries
         self.backend = backend
-        self.structural_batching = structural_batching
         self.fault_injector = fault_injector
         self.personalizer = Personalizer(
             database,
@@ -310,7 +327,7 @@ class PersonalizationService:
         except KeyError:
             raise PreferenceError("unknown user %r" % user) from None
 
-    # -- the request loop ----------------------------------------------------------
+    # -- the request pipeline -----------------------------------------------------
 
     def request(
         self,
@@ -322,86 +339,22 @@ class PersonalizationService:
         k_limit: Optional[int] = None,
         execute: bool = True,
     ) -> ServiceResponse:
-        """Answer one request for ``user``.
+        """Answer one request for ``user``: a :meth:`request_many` batch
+        of one, with the same logging, relearning, fault handling and
+        response shape.
 
         The Table 1 problem comes from ``problem`` when given, else from
-        the ``context`` via the policy. The query is logged for learning
-        and, when due, the user's profile is re-learned and blended.
-        ``execute=False`` skips running the personalized query (the
-        response carries no rows) — useful when only the rewritten query
-        or the solution metadata is wanted.
+        the ``context`` via the policy. ``execute=False`` skips running
+        the personalized query (the response carries no rows) — useful
+        when only the rewritten query or the solution metadata is wanted.
         """
-        state = self._state(user)
-        if isinstance(query, str):
-            query = parse_select(query)
-        if problem is None:
-            if context is None:
-                raise PreferenceError("a request needs a context or a problem")
-            problem = problem_for_context(context)
-
-        state.query_log.append(query)
-        state.requests_since_relearn += 1
-        if self.relearn_every and state.requests_since_relearn >= self.relearn_every:
-            self._relearn(user)
-
-        faults_before = self._faults_so_far()
-        outcome = self.personalizer.personalize(
-            query, state.profile, problem, algorithm=algorithm, k_limit=k_limit
-        )
-        if not execute:
-            response = ServiceResponse(
-                user=user, outcome=outcome, rows=(), elapsed_ms=0.0,
-                faults_injected=self._faults_so_far() - faults_before,
-                **self._search_counters(outcome),
-            )
-            response.cache_telemetry = self.cache_telemetry()
-            return response
-        result = self.personalizer.execute(outcome, frame_cache=self.frame_cache)
-        self._fold_exec_stats(outcome, result)
-        response = self._response(
-            user, outcome, result,
-            faults_injected=self._faults_so_far() - faults_before,
-        )
-        response.cache_telemetry = self.cache_telemetry()
-        return response
+        request = BatchRequest(user, query, context, problem, algorithm, k_limit)
+        return self.request_many([request], execute=execute)[0]
 
     def _faults_so_far(self) -> int:
         """The wired injector's running fault tally (0 when none)."""
         injector = self.fault_injector
         return injector.faults_injected if injector is not None else 0
-
-    @staticmethod
-    def _search_counters(outcome: PersonalizationOutcome) -> Dict[str, int]:
-        """The solution's search-layer reuse counters, as response kwargs
-        (all zero for unpersonalized outcomes)."""
-        if outcome.solution is None:
-            return {}
-        stats = outcome.solution.stats
-        return {
-            "frontier_cache_hits": stats.frontier_cache_hits,
-            "frontier_cache_misses": stats.frontier_cache_misses,
-            "states_warm_started": stats.states_warm_started,
-            "neighbor_batches": stats.neighbor_batches,
-        }
-
-    @classmethod
-    def _response(
-        cls, user, outcome, result, faults_injected: int = 0, fallbacks_taken: int = 0
-    ) -> ServiceResponse:
-        return ServiceResponse(
-            user=user,
-            outcome=outcome,
-            rows=tuple(result.rows),
-            elapsed_ms=result.elapsed_ms,
-            frame_cache_hits=result.frame_cache_hits,
-            frame_cache_misses=result.frame_cache_misses,
-            branches_incremental=result.branches_incremental,
-            rows_filtered_vectorized=result.rows_filtered_vectorized,
-            rows_filtered_rowwise=result.rows_filtered_rowwise,
-            faults_injected=faults_injected,
-            fallbacks_taken=fallbacks_taken,
-            **cls._search_counters(outcome),
-        )
 
     @staticmethod
     def _fold_exec_stats(outcome: PersonalizationOutcome, result) -> None:
@@ -416,7 +369,32 @@ class PersonalizationService:
         stats.rows_filtered_vectorized += result.rows_filtered_vectorized
         stats.rows_filtered_rowwise += result.rows_filtered_rowwise
 
-    # -- the batched request path --------------------------------------------------
+    @staticmethod
+    def _group_fields(outcome: PersonalizationOutcome, result) -> Dict:
+        """The response fields every member of one group shares: the
+        outcome, the execution result (``None`` when not executed) and
+        the solution's search-layer reuse counters (all zero for
+        unpersonalized outcomes)."""
+        fields: Dict = {"outcome": outcome, "rows": (), "elapsed_ms": 0.0}
+        if result is not None:
+            fields.update(
+                rows=tuple(result.rows),
+                elapsed_ms=result.elapsed_ms,
+                frame_cache_hits=result.frame_cache_hits,
+                frame_cache_misses=result.frame_cache_misses,
+                branches_incremental=result.branches_incremental,
+                rows_filtered_vectorized=result.rows_filtered_vectorized,
+                rows_filtered_rowwise=result.rows_filtered_rowwise,
+            )
+        if outcome.solution is not None:
+            stats = outcome.solution.stats
+            fields.update(
+                frontier_cache_hits=stats.frontier_cache_hits,
+                frontier_cache_misses=stats.frontier_cache_misses,
+                states_warm_started=stats.states_warm_started,
+                neighbor_batches=stats.neighbor_batches,
+            )
+        return fields
 
     def request_many(
         self,
@@ -430,18 +408,24 @@ class PersonalizationService:
         k_limit)``; each group runs the extract → search → rewrite
         pipeline **once** and (when ``execute``) executes the
         personalized query **once**, fanning the shared outcome out to
-        every member. Across groups the personalizer's parameter cache
-        still shares per-path pricing, so even an all-distinct batch
-        beats the request-at-a-time loop once warm.
+        every member. Groups that share an extraction — same user,
+        query, ``k_limit`` and the constraint fields the extractor
+        prunes on (``cmax``/``smin``) — form one cluster, answered by
+        one :meth:`Personalizer.personalize_many` call: extraction runs
+        once per cluster and the solves share the stacked frontier
+        kernel. Across clusters the personalizer's parameter cache
+        still shares per-path pricing.
 
-        ``max_workers`` (default: the service's ``parallelism``) > 1
-        fans the per-group personalization out through a
-        :class:`~repro.core.algorithms.scheduler.SolveScheduler` with
-        results in deterministic (input) order; the solves are
-        independent and the shared caches memoize pure functions, so the
-        responses' payloads do not depend on the schedule (only work
-        counters may — whichever group warms a cache first gets the
-        misses). Execution stays serial because the
+        Each cluster is one task of a
+        :class:`~repro.core.algorithms.scheduler.SolveScheduler`, which
+        retries a transiently failed task and past ``solve_retries``
+        re-runs it cold on the calling thread. ``max_workers`` (default:
+        the service's ``parallelism``) > 1 fans the tasks out on the
+        service's ``backend`` with results in deterministic (input)
+        order; the solves are independent and the shared caches memoize
+        pure functions, so the responses' payloads do not depend on the
+        schedule (only work counters may — whichever group warms a cache
+        first gets the misses). Execution stays serial because the
         block-device I/O tally is shared, but all groups execute against
         the service's frame cache: the columnar engine computes the
         frame of any shared plan prefix (typically the base query's
@@ -458,9 +442,10 @@ class PersonalizationService:
         worker pipe are rebuilt parent-side from their (solution, paths)
         payload and carry ``outcome.preference_space = None`` — every
         other field, the rewritten SQL, the executed rows, and all cost
-        receipts are identical to the in-process paths.
+        receipts are identical to the in-process path.
         """
-        specs: List[Tuple[str, SelectQuery, CQPProblem, Optional[str], Optional[int]]] = []
+        # (user, state, query, problem, algorithm, k_limit) per request.
+        specs: List[Tuple] = []
         for req in requests:
             query = parse_select(req.query) if isinstance(req.query, str) else req.query
             problem = req.problem
@@ -468,113 +453,38 @@ class PersonalizationService:
                 if req.context is None:
                     raise PreferenceError("a request needs a context or a problem")
                 problem = problem_for_context(req.context)
-            self._state(req.user)  # unknown users fail before any work
-            specs.append((req.user, query, problem, req.algorithm, req.k_limit))
+            state = self._state(req.user)  # unknown users fail before any work
+            specs.append((req.user, state, query, problem, req.algorithm, req.k_limit))
 
         # Batch-boundary learning: log everything, then relearn once.
-        for user, query, _, _, _ in specs:
-            state = self._state(user)
+        for _, state, query, _, _, _ in specs:
             state.query_log.append(query)
             state.requests_since_relearn += 1
         if self.relearn_every:
-            for user in {spec[0] for spec in specs}:
-                if self._state(user).requests_since_relearn >= self.relearn_every:
+            for user, state in {spec[0]: spec[1] for spec in specs}.items():
+                if state.requests_since_relearn >= self.relearn_every:
                     self._relearn(user)
 
+        # Member positions per distinct request (a group), in first-seen
+        # order, and one task per cluster of groups sharing an extraction.
         groups: Dict[Tuple, List[int]] = {}
-        for position, (user, query, problem, algorithm, k_limit) in enumerate(specs):
-            key = (user, to_sql(query), problem, algorithm, k_limit)
-            groups.setdefault(key, []).append(position)
-
-        member_lists = list(groups.values())
-
-        # Structural batching clusters groups that share an extraction —
-        # same user, query, k_limit, and the constraint fields the
-        # extractor prunes on (cmax/smin) — into supergroups; each
-        # supergroup is one scheduler task running personalize_many
-        # (extract once, stacked solves). With batching off, every
-        # supergroup is a singleton running the legacy per-group
-        # personalize. Either way a task returns the outcome list of its
-        # member groups, so payloads never depend on the clustering.
-        if self.structural_batching:
-            clusters: Dict[Tuple, List[int]] = {}
-            for index, members in enumerate(member_lists):
-                user, query, problem, _, k_limit = specs[members[0]]
-                cluster_key = (
-                    user,
-                    to_sql(query),
-                    k_limit,
-                    problem.constraints.cmax,
-                    problem.constraints.smin,
-                )
-                clusters.setdefault(cluster_key, []).append(index)
-            super_lists = list(clusters.values())
-        else:
-            super_lists = [[index] for index in range(len(member_lists))]
-
-        def personalize_super(group_indices: Sequence[int]) -> List[PersonalizationOutcome]:
-            user, query, _, _, k_limit = specs[member_lists[group_indices[0]][0]]
-            if not self.structural_batching and len(group_indices) == 1:
-                _, _, problem, algorithm, _ = specs[member_lists[group_indices[0]][0]]
-                return [
-                    self.personalizer.personalize(
-                        query,
-                        self._state(user).profile,
-                        problem,
-                        algorithm=algorithm,
-                        k_limit=k_limit,
+        clusters: Dict[Tuple, _Cluster] = {}
+        for position, spec in enumerate(specs):
+            user, state, query, problem, algorithm, k_limit = spec
+            members = groups.setdefault((user, query.sql, problem, algorithm, k_limit), [])
+            if not members:  # the first request of a new group
+                pruning = (problem.constraints.cmax, problem.constraints.smin)
+                cluster_key = (user, query.sql, k_limit, pruning)
+                cluster = clusters.get(cluster_key)
+                if cluster is None:
+                    cluster = clusters[cluster_key] = _Cluster(
+                        query, state.profile, k_limit, [], [], []
                     )
-                ]
-            problems = [specs[member_lists[i][0]][2] for i in group_indices]
-            algorithms = [specs[member_lists[i][0]][3] for i in group_indices]
-            return self.personalizer.personalize_many(
-                query,
-                self._state(user).profile,
-                problems,
-                algorithms=algorithms,
-                k_limit=k_limit,
-            )
-
-        def personalize_super_cold(group_indices: Sequence[int]) -> List[PersonalizationOutcome]:
-            # Degraded path after exhausted retries: drop every shared
-            # memo (any of them could have been mid-write when the fault
-            # hit) and re-solve on the calling thread. The caches only
-            # memoize pure functions, so the cold re-solve's payload is
-            # bit-identical to what the clean run would have returned.
-            self.personalizer.invalidate_caches()
-            return personalize_super(group_indices)
-
-        # Pickle-slimming seam for the process backend: a worker ships
-        # only each outcome's (solution, paths) — the parts that are
-        # pure solver output — and the parent re-derives the rewritten
-        # query exactly as personalize_many would have. Rebuilt outcomes
-        # carry ``preference_space=None`` (the space is worker-local
-        # solver state, expensive to pickle and unused downstream of the
-        # batched path); in-process backends and fallbacks still return
-        # full outcomes.
-        def encode_outcomes(outcome_list: List[PersonalizationOutcome]):
-            return [(outcome.solution, outcome.paths) for outcome in outcome_list]
-
-        def decode_outcomes(payload, super_index: int) -> List[PersonalizationOutcome]:
-            rebuilt: List[PersonalizationOutcome] = []
-            for group_index, (solution, paths) in zip(
-                super_lists[super_index], payload
-            ):
-                _, query, problem, _, _ = specs[member_lists[group_index][0]]
-                rewriter = QueryRewriter(
-                    query, schema=self.personalizer.database.schema
-                )
-                rebuilt.append(
-                    PersonalizationOutcome(
-                        problem=problem,
-                        original_query=query,
-                        personalized_query=rewriter.personalized_query(paths),
-                        solution=solution,
-                        paths=paths,
-                        preference_space=None,
-                    )
-                )
-            return rebuilt
+                cluster.problems.append(problem)
+                cluster.algorithms.append(algorithm)
+                cluster.group_indices.append(len(groups) - 1)
+            members.append(position)
+        tasks = list(clusters.values())
 
         workers = self.parallelism if max_workers is None else max_workers
         faults_before = self._faults_so_far()
@@ -584,33 +494,26 @@ class PersonalizationService:
             fault_injector=self.fault_injector,
             backend=self.backend,
         )
-        super_outcomes = scheduler.map(
-            personalize_super,
-            super_lists,
-            fallback=personalize_super_cold,
-            encode=encode_outcomes,
-            decode=decode_outcomes,
+        task_outcomes = scheduler.map(
+            self._personalize_task,
+            tasks,
+            fallback=self._personalize_task_cold,
+            encode=_encode_outcomes,
+            decode=lambda payload, index: self._decode_outcomes(payload, tasks[index]),
         )
-        outcomes: List[Optional[PersonalizationOutcome]] = [None] * len(member_lists)
-        for group_indices, outcome_list in zip(super_lists, super_outcomes):
-            for index, outcome in zip(group_indices, outcome_list):
+        outcomes: List[Optional[PersonalizationOutcome]] = [None] * len(groups)
+        for cluster, outcome_list in zip(tasks, task_outcomes):
+            for index, outcome in zip(cluster.group_indices, outcome_list):
                 outcomes[index] = outcome
 
-        responses: List[Optional[ServiceResponse]] = [None] * len(specs)
-        for members, outcome in zip(member_lists, outcomes):
-            user = specs[members[0]][0]
+        group_fields = []
+        for outcome in outcomes:
+            result = None
             if execute:
                 result = self.personalizer.execute(outcome, frame_cache=self.frame_cache)
                 self._fold_exec_stats(outcome, result)
-                template = self._response(user, outcome, result)
-            else:
-                template = ServiceResponse(
-                    user=user, outcome=outcome, rows=(), elapsed_ms=0.0
-                )
-            # One immutable rows tuple per group, shared by every member
-            # (replaces the old per-member list(rows) copies).
-            for position in members:
-                responses[position] = replace(template)
+            group_fields.append(self._group_fields(outcome, result))
+
         # Resilience counters are batch totals: fault attribution inside
         # a pool is ambiguous, and what callers act on ("did this batch
         # degrade, and how often?") is the aggregate anyway. Faults that
@@ -620,26 +523,68 @@ class PersonalizationService:
         faults = self._faults_so_far() - faults_before + scheduler.remote_faults
         if self.fault_injector is None:
             faults = scheduler.faults_seen + scheduler.remote_faults
-        if faults or scheduler.fallbacks_taken:
-            reason = (
-                "transient-fault fallback: %d task(s) re-ran on the cold "
-                "single-threaded path" % scheduler.fallbacks_taken
-                if scheduler.fallbacks_taken
-                else None
-            )
-            for position, response in enumerate(responses):
-                responses[position] = replace(
-                    response,
+        reason = (
+            "transient-fault fallback: %d task(s) re-ran on the cold "
+            "single-threaded path" % scheduler.fallbacks_taken
+            if scheduler.fallbacks_taken
+            else None
+        )
+        # One telemetry block per batch, shared read-only by every
+        # member (counters are batch-level state anyway); one immutable
+        # rows tuple per group, shared by every member.
+        telemetry = self.cache_telemetry()
+        responses: List[Optional[ServiceResponse]] = [None] * len(specs)
+        for members, fields in zip(groups.values(), group_fields):
+            for position in members:
+                responses[position] = ServiceResponse(
+                    user=specs[position][0],
                     faults_injected=faults,
                     fallbacks_taken=scheduler.fallbacks_taken,
                     degradation_reason=reason,
+                    cache_telemetry=telemetry,
+                    **fields,
                 )
-        # One telemetry block per batch, shared read-only by every
-        # member (counters are batch-level state anyway).
-        telemetry = self.cache_telemetry()
-        for response in responses:
-            response.cache_telemetry = telemetry
         return responses  # type: ignore[return-value]
+
+    def _personalize_task(self, cluster: _Cluster) -> List[PersonalizationOutcome]:
+        """One cluster's outcomes, one per group, from one extraction."""
+        return self.personalizer.personalize_many(
+            cluster.query,
+            cluster.profile,
+            cluster.problems,
+            algorithms=cluster.algorithms,
+            k_limit=cluster.k_limit,
+        )
+
+    def _personalize_task_cold(self, cluster: _Cluster) -> List[PersonalizationOutcome]:
+        """The degraded path after exhausted retries: drop every shared
+        memo (any of them could have been mid-write when the fault hit)
+        and re-solve on the calling thread. The caches only memoize pure
+        functions, so the cold re-solve's payload is bit-identical to
+        what the clean run would have returned."""
+        self.personalizer.invalidate_caches()
+        return self._personalize_task(cluster)
+
+    def _decode_outcomes(
+        self, payload, cluster: _Cluster
+    ) -> List[PersonalizationOutcome]:
+        """Rebuild a process worker's slim outcomes parent-side,
+        re-deriving each rewritten query exactly as personalize_many
+        would have (see :func:`_encode_outcomes`)."""
+        rewriter = QueryRewriter(
+            cluster.query, schema=self.personalizer.database.schema
+        )
+        return [
+            PersonalizationOutcome(
+                problem=problem,
+                original_query=cluster.query,
+                personalized_query=rewriter.personalized_query(paths),
+                solution=solution,
+                paths=paths,
+                preference_space=None,
+            )
+            for problem, (solution, paths) in zip(cluster.problems, payload)
+        ]
 
     # -- learning -----------------------------------------------------------------
 

@@ -143,29 +143,6 @@ class SearchStats:
     def peak_memory_kb(self) -> float:
         return self.peak_memory_bytes / 1024.0
 
-    def merge(self, other: "SearchStats") -> None:
-        """Fold another run's counters into this one (used by adapters
-        that chain several sub-searches)."""
-        self.states_examined += other.states_examined
-        self.parameter_evaluations += other.parameter_evaluations
-        self.transitions_taken += other.transitions_taken
-        self.solutions_recorded += other.solutions_recorded
-        self.peak_memory_bytes = max(self.peak_memory_bytes, other.peak_memory_bytes)
-        self.wall_time_s += other.wall_time_s
-        self.param_cache_hits += other.param_cache_hits
-        self.param_cache_misses += other.param_cache_misses
-        self.frame_cache_hits += other.frame_cache_hits
-        self.frame_cache_misses += other.frame_cache_misses
-        self.branches_incremental += other.branches_incremental
-        self.rows_filtered_vectorized += other.rows_filtered_vectorized
-        self.rows_filtered_rowwise += other.rows_filtered_rowwise
-        self.frontier_cache_hits += other.frontier_cache_hits
-        self.frontier_cache_misses += other.frontier_cache_misses
-        self.states_warm_started += other.states_warm_started
-        self.neighbor_batches += other.neighbor_batches
-        self.faults_injected += other.faults_injected
-        self.fallbacks_taken += other.fallbacks_taken
-
 
 def container_bytes(container: Sequence[Tuple[int, ...]]) -> int:
     """Accounting size of a container of states (queue, boundary list...)."""

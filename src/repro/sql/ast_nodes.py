@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 
@@ -133,6 +134,15 @@ class SelectQuery:
             raise ValueError("a query needs at least one FROM table")
         if self.limit is not None and self.limit < 0:
             raise ValueError("LIMIT must be non-negative, got %r" % (self.limit,))
+
+    @cached_property
+    def sql(self) -> str:
+        """The query's SQL text, rendered once: the node is immutable,
+        and the service groups requests and keys its extraction memo on
+        this text."""
+        from repro.sql.printer import _select_to_sql
+
+        return _select_to_sql(self)
 
     @property
     def relation_names(self) -> List[str]:

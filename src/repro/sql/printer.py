@@ -52,7 +52,7 @@ def to_sql(query: QueryNode) -> str:
     'select title from MOVIE'
     """
     if isinstance(query, SelectQuery):
-        return _select_to_sql(query)
+        return query.sql
     if isinstance(query, UnionAllQuery):
         return _union_to_sql(query)
     if isinstance(query, GroupByHavingCount):

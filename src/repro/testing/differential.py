@@ -1,13 +1,13 @@
 """Differential lattice runner: one oracle, every configuration.
 
-PRs 1–4 layered a bitmask kernel, a columnar engine, three caches and a
-parallel scheduler onto the CQP search — each proven equivalent in
+A bitmask kernel, a columnar engine, three caches and a parallel
+scheduler sit on top of the CQP search — each proven equivalent in
 isolation. This module cross-validates them as a *lattice*: every
 Table 1 problem is solved at every point of
 
     {c_boundaries, c_maxbounds, exhaustive} × {row, columnar}
         × {caches off, on, warm} × {parallelism 1, 4}
-        × {serial, thread, process} × {batched, unbatched}
+        × {serial, process} × {solve, solve_many}
         × {sync, async serving}
 
 and checked three ways:
@@ -58,9 +58,7 @@ EXACT_ALGORITHMS = frozenset({"c_boundaries", "exhaustive", "min_cost"})
 CACHE_MODES = ("off", "on", "warm")
 ENGINES = ("row", "columnar")
 PARALLELISMS = (1, 4)
-# "thread" on the legacy points keeps their historical coverage (the
-# scheduler's auto backend would degrade them to serial on small hosts).
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 class DifferentialFailure(AssertionError):
@@ -76,8 +74,8 @@ class LatticePoint:
     """One configuration of the correctness lattice.
 
     ``backend`` is the scheduler pool flavor the point's solves fan out
-    on; ``batched`` routes the point's problems through the structural
-    batching path (:func:`repro.core.adapters.solve_many`, or
+    on; ``batched`` (solver lattice only) routes the point's problems
+    through :func:`repro.core.adapters.solve_many` (or
     :class:`~repro.core.algorithms.scheduler.SolvePlan` dispatch under
     the process backend) instead of one solve per problem. ``snapshot``
     (service lattice only) boots the point's service warm from a
@@ -96,7 +94,7 @@ class LatticePoint:
     engine: str = "columnar"
     cache: str = "off"
     parallelism: int = 1
-    backend: str = "thread"
+    backend: str = "serial"
     batched: bool = False
     snapshot: str = "off"
     serving: str = "sync"
@@ -246,8 +244,8 @@ def exhaustive_oracle(pspace, problem: CQPProblem) -> Receipt:
 def solver_lattice() -> List[LatticePoint]:
     """Every (algorithm, cache, parallelism) point of the solve-only
     lattice (the engine axis needs execution; see the service lattice),
-    plus the full {serial, thread, process} × {batched, unbatched}
-    cross per algorithm at the cache="on" column."""
+    plus the full {serial, process} × {solve, solve_many} cross per
+    algorithm at the cache="on" column."""
     points = []
     for algorithm in DOI_ALGORITHMS + ("min_cost",):
         for cache in CACHE_MODES:
@@ -277,16 +275,15 @@ def _solve_problems(
     algorithm: str,
     cache: Optional[FrontierCache],
     parallelism: int,
-    backend: str = "thread",
+    backend: str = "serial",
     batched: bool = False,
 ) -> List[Optional[CQPSolution]]:
     """The solves of one lattice point, possibly fanned out or batched.
 
-    ``batched`` routes through the structural-batching path: one
-    :func:`adapters.solve_many` call (which dedupes and primes the
-    stacked frontier kernel), or — under a multi-worker process
-    backend — two :class:`SolvePlan` halves dispatched to the forked
-    plan pool, exercising pickled plans, per-worker caches and result
+    ``batched`` routes through one :func:`adapters.solve_many` call
+    (which dedupes and primes the stacked frontier kernel), or — under
+    a multi-worker process backend — two :class:`SolvePlan` halves
+    dispatched to the forked plan pool, exercising pickled plans, per-worker caches and result
     envelopes. Unbatched points map one solve per problem through the
     scheduler on the requested backend.
     """
@@ -457,11 +454,10 @@ def _algorithm_for(problem: CQPProblem, requested: str) -> str:
 
 def service_lattice() -> List[LatticePoint]:
     """Every (algorithm, engine, cache, parallelism) point of the
-    end-to-end lattice, plus the backend × batched cross on the
-    columnar engine, plus the snapshot={off,restored} axis (one serial
-    and one batched-parallel warm-boot point per algorithm), plus the
-    serving={sync,async} axis: one plain and one batched-parallel
-    async-front-end point per algorithm."""
+    end-to-end lattice, plus the backend axis on the columnar engine,
+    plus the snapshot={off,restored} axis (one warm-boot point per
+    algorithm and parallelism), plus the serving={sync,async} axis (one
+    async-front-end point per algorithm and parallelism)."""
     points = []
     for algorithm in DOI_ALGORITHMS:
         for engine in ENGINES:
@@ -476,41 +472,32 @@ def service_lattice() -> List[LatticePoint]:
                         )
                     )
         for backend in BACKENDS:
-            for batched in (False, True):
-                points.append(
-                    LatticePoint(
-                        algorithm=algorithm,
-                        engine="columnar",
-                        cache="on",
-                        parallelism=4,
-                        backend=backend,
-                        batched=batched,
-                    )
+            points.append(
+                LatticePoint(
+                    algorithm=algorithm,
+                    engine="columnar",
+                    cache="on",
+                    parallelism=4,
+                    backend=backend,
                 )
-        points.append(
-            LatticePoint(algorithm=algorithm, cache="on", snapshot="restored")
-        )
-        points.append(
-            LatticePoint(
-                algorithm=algorithm,
-                cache="on",
-                parallelism=4,
-                batched=True,
-                snapshot="restored",
             )
-        )
-        points.append(
-            LatticePoint(algorithm=algorithm, cache="on", serving="async")
-        )
-        points.append(
-            LatticePoint(
-                algorithm=algorithm,
-                cache="on",
-                parallelism=4,
-                batched=True,
-                serving="async",
+        for parallelism in PARALLELISMS:
+            points.append(
+                LatticePoint(
+                    algorithm=algorithm,
+                    cache="on",
+                    parallelism=parallelism,
+                    snapshot="restored",
+                )
             )
-        )
+            points.append(
+                LatticePoint(
+                    algorithm=algorithm,
+                    cache="on",
+                    parallelism=parallelism,
+                    serving="async",
+                )
+            )
     return points
 
 
@@ -612,7 +599,6 @@ def run_service_lattice(
             frontier_cache=FrontierCache(0 if point.cache == "off" else 256),
             parallelism=point.parallelism,
             backend=point.backend,
-            structural_batching=point.batched,
             snapshot=snapshot,
         )
         service.register("lattice-user", profile)

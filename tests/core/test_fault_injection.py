@@ -238,6 +238,31 @@ class TestServiceDegradation:
         assert any(r.degraded for r in degraded)
         assert not any(r.degraded for r in clean)
 
+    def test_request_rides_the_scheduler_fault_contract(
+        self, movie_db, movie_profile, movie_query
+    ):
+        # request() is a batch of one: an always-failing worker site
+        # must retry, fall back cold, and still answer bit-identically.
+        def ask(injector):
+            service = PersonalizationService(movie_db, fault_injector=injector)
+            service.register("drill", movie_profile)
+            return service.request(
+                "drill", movie_query, problem=CQPProblem.problem2(cmax=200.0),
+                k_limit=7,
+            )
+
+        clean = ask(None)
+        injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
+        degraded = ask(injector)
+        assert degraded.rows == clean.rows
+        assert Receipt.of(degraded.outcome.solution) == Receipt.of(
+            clean.outcome.solution
+        )
+        assert degraded.fallbacks_taken > 0
+        assert degraded.faults_injected == injector.faults_injected > 0
+        assert degraded.degradation_reason is not None
+        assert clean.fallbacks_taken == 0 and clean.degradation_reason is None
+
     def test_quiet_plan_reports_nothing(self, movie_db, movie_profile, movie_query):
         injector = FaultInjector(FaultPlan.quiet())
         service = PersonalizationService(

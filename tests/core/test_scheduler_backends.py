@@ -1,11 +1,11 @@
-"""Scheduler backends: serial, thread, and process parity.
+"""Scheduler backends: serial and process parity.
 
 Every backend must return results positionally and bit-identically to
 the serial loop; the process backend additionally carries solutions and
 fault counters across the process boundary in result envelopes. The
 process-axis resilience drills live here too: a ``TransientFault``
 under the process backend must retry and fall back exactly like the
-thread pool does (satellite of ISSUE 6), and worker-side fault deltas
+serial loop does, and worker-side fault deltas
 must come home in ``remote_faults``.
 """
 
@@ -29,16 +29,14 @@ from repro.testing.differential import (
 )
 from repro.testing.faults import FaultInjector, FaultPlan
 
-RUN_BACKENDS = ("serial", "thread", "process") if fork_available() else (
-    "serial", "thread"
-)
+RUN_BACKENDS = ("serial", "process") if fork_available() else ("serial",)
 
 
 class TestBackendSelection:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             SolveScheduler(2, backend="fibers")
-        assert set(BACKENDS) == {"auto", "serial", "thread", "process"}
+        assert set(BACKENDS) == {"auto", "serial", "process"}
 
     def test_degenerate_batches_always_run_serial(self):
         for backend in BACKENDS:
@@ -62,7 +60,7 @@ class TestBackendSelection:
 
         monkeypatch.setattr(sched.os, "cpu_count", lambda: 8)
         scheduler = SolveScheduler(4, backend="auto")
-        assert scheduler._resolve_backend(16, plans=False) == "thread"
+        assert scheduler._resolve_backend(16, plans=False) == "serial"
         if fork_available():
             assert scheduler._resolve_backend(16, plans=True) == "process"
 

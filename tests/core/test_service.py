@@ -264,6 +264,31 @@ class TestRequestMany:
         assert responses[0].rows == ()
         assert responses[0].personalized
 
+    def test_execute_false_reports_search_counters(self, movie_db, movie_profile):
+        # Twin fresh services, so both answers are cold first solves.
+        counters = (
+            "frontier_cache_hits",
+            "frontier_cache_misses",
+            "states_warm_started",
+            "neighbor_batches",
+        )
+        for ask in (
+            lambda service: service.request_many(
+                self._batch(["al"], ["select title from MOVIE"]), execute=False
+            )[0],
+            lambda service: service.request(
+                "al", "select title from MOVIE",
+                problem=CQPProblem.problem2(cmax=200.0), execute=False,
+            ),
+        ):
+            service = PersonalizationService(movie_db)
+            service.register("al", movie_profile)
+            response = ask(service)
+            stats = response.outcome.solution.stats
+            assert stats.frontier_cache_misses > 0
+            for name in counters:
+                assert getattr(response, name) == getattr(stats, name), name
+
     def test_context_resolution_and_errors(self, movie_db, movie_profile):
         service = PersonalizationService(movie_db)
         service.register("al", movie_profile)

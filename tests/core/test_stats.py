@@ -14,14 +14,6 @@ class TestCounters:
         assert stats.parameter_evaluations == 5
         assert stats.transitions_taken == 1
 
-    def test_merge(self):
-        a = SearchStats(states_examined=3, peak_memory_bytes=100, wall_time_s=1.0)
-        b = SearchStats(states_examined=2, peak_memory_bytes=300, wall_time_s=0.5)
-        a.merge(b)
-        assert a.states_examined == 5
-        assert a.peak_memory_bytes == 300
-        assert a.wall_time_s == 1.5
-
 
 class TestMemoryAccounting:
     def test_node_bytes_scales_with_group(self):
@@ -99,13 +91,6 @@ class TestResilienceCounters:
         stats = SearchStats()
         assert stats.faults_injected == 0
         assert stats.fallbacks_taken == 0
-
-    def test_merge_folds_resilience_counters(self):
-        a = SearchStats(faults_injected=2, fallbacks_taken=1)
-        b = SearchStats(faults_injected=3, fallbacks_taken=0)
-        a.merge(b)
-        assert a.faults_injected == 5
-        assert a.fallbacks_taken == 1
 
 
 class TestPerRequestCounterReset:

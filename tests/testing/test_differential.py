@@ -46,41 +46,35 @@ class TestLatticeShape:
     def test_service_lattice_adds_the_engine_axis(self):
         points = service_lattice()
         assert {p.engine for p in points} == {"row", "columnar"}
-        # The classic cross plus the backend × batched cross plus the
-        # two snapshot="restored" points plus the two serving="async"
+        # The classic cross plus the two backend points plus the two
+        # snapshot="restored" points plus the two serving="async"
         # points, per algorithm.
-        assert len(points) == 3 * 2 * 3 * 2 + 3 * 3 * 2 + 3 * 2 + 3 * 2
+        assert len(points) == 3 * 2 * 3 * 2 + 3 * 2 + 3 * 2 + 3 * 2
 
     def test_service_lattice_spans_the_serving_axis(self):
         points = service_lattice()
         assert {p.serving for p in points} == {"sync", "async"}
         asynchronous = [p for p in points if p.serving == "async"]
-        # Both a plain and a batched-parallel async front-end per algorithm.
-        assert {(p.parallelism, p.batched) for p in asynchronous} == {
-            (1, False),
-            (4, True),
-        }
+        # An async front-end per algorithm at both parallelisms.
+        assert {p.parallelism for p in asynchronous} == {1, 4}
 
     def test_service_lattice_spans_the_snapshot_axis(self):
         points = service_lattice()
         assert {p.snapshot for p in points} == {"off", "restored"}
         restored = [p for p in points if p.snapshot == "restored"]
-        # Both a serial and a batched-parallel warm boot per algorithm.
-        assert {(p.parallelism, p.batched) for p in restored} == {
-            (1, False),
-            (4, True),
-        }
+        # A warm boot per algorithm at both parallelisms.
+        assert {p.parallelism for p in restored} == {1, 4}
 
     def test_solver_lattice_spans_backends_and_batching(self):
         points = solver_lattice()
-        assert {p.backend for p in points} == {"serial", "thread", "process"}
+        assert {p.backend for p in points} == {"serial", "process"}
         assert {p.batched for p in points} == {False, True}
 
     def test_point_renders_a_reproduction_recipe(self):
         point = LatticePoint("c_boundaries", cache="warm", parallelism=4)
         assert str(point) == (
             "c_boundaries/engine=columnar/cache=warm/parallelism=4"
-            "/backend=thread/batched=False/snapshot=off/serving=sync"
+            "/backend=serial/batched=False/snapshot=off/serving=sync"
         )
 
 
@@ -93,11 +87,11 @@ class TestSolverLattice:
         assert report.receipt_checks > 0
 
     def test_receipts_are_compared_across_cache_and_parallelism(self):
-        # 12 points per algorithm (6 cache×parallelism + 6 backend×batched)
-        # → 11 receipt comparisons per (algorithm, problem) beyond the
+        # 10 points per algorithm (6 cache×parallelism + 4 backend×batched)
+        # → 9 receipt comparisons per (algorithm, problem) beyond the
         # reference.
         report = run_solver_lattice([0])
-        assert report.receipt_checks == report.solves - report.solves // 12
+        assert report.receipt_checks == report.solves - report.solves // 10
 
 
 class TestServiceLattice:

@@ -135,7 +135,7 @@ class TestCompileWorkload:
         parallel = compile_workload(
             movie_db, fleet, queries, problems,
             algorithms=["c_boundaries"], k_limit=8,
-            parallelism=4, backend="thread",
+            parallelism=4, backend="process",
         )
         assert parallel.param_state["entries"] == workload.param_state["entries"]
         assert parallel.frontier_state["memos"] == workload.frontier_state["memos"]
