@@ -5,12 +5,14 @@ profiles x 10 queries population at K=30, streamed with repetition
 (every pair asked R times, the service-trace regime the batched path
 is built for):
 
-* **seed_per_request** — the pre-optimization baseline: tuple
-  evaluation kernel, 0-capacity parameter cache, one ``request()`` per
-  stream element;
+* **seed_per_request** — the pre-optimization baseline: row engine,
+  0-capacity parameter cache, one ``request()`` per stream element
+  (since the tuple evaluation kernel was deleted it evaluates on the
+  mask kernel like every other mode, so earlier trajectory points
+  measured a slower baseline);
 * **per_request_cold / per_request_warm** — the request loop with the
-  mask kernel + cross-request parameter cache (first pass primes the
-  cache, second pass reuses it);
+  cross-request parameter cache (first pass primes the cache, second
+  pass reuses it);
 * **batched_cold / batched_warm** — ``request_many`` over the whole
   stream: one solve and one execution per (user, query) group;
 * **batched_multicore** — the same batch on a service with
@@ -93,7 +95,6 @@ def make_service(
     service = PersonalizationService(
         database,
         param_cache=ParameterCache(capacity=0) if seed_mode else None,
-        mask_kernel=not seed_mode,
         engine="row" if seed_mode else "columnar",
         parallelism=parallelism,
         backend=backend,

@@ -126,7 +126,6 @@ def solve(
     pspace: PreferenceSpace,
     problem: CQPProblem,
     algorithm: str = "c_maxbounds",
-    mask_kernel: bool = True,
     frontier_cache=None,
 ) -> Optional[CQPSolution]:
     """Solve any Table 1 problem over an extracted preference space.
@@ -135,16 +134,13 @@ def solve(
     Section 5 algorithm; for cost-minimization problems the dedicated
     minimal-state search runs and ``algorithm`` is ignored.
     Returns ``None`` when no personalized query satisfies the
-    constraints. ``mask_kernel=False`` forces the legacy tuple
-    evaluation kernel (benchmark ablations; results are identical).
-    A :class:`~repro.core.frontier_cache.FrontierCache` shares per-state
-    parameter evaluations across solves (every algorithm, including the
-    Problem 4-6 minimal-state search) and warm-starts the C-BOUNDARIES
-    sweep from frontiers recorded under looser limits.
+    constraints. A :class:`~repro.core.frontier_cache.FrontierCache`
+    shares per-state parameter evaluations across solves (every
+    algorithm, including the Problem 4-6 minimal-state search) and
+    warm-starts the C-BOUNDARIES sweep from frontiers recorded under
+    looser limits.
     """
-    bundle = SpaceBundle(
-        pspace, problem, mask_kernel=mask_kernel, frontier_cache=frontier_cache
-    )
+    bundle = SpaceBundle(pspace, problem, frontier_cache=frontier_cache)
     if problem.objective is Parameter.DOI:
         space = space_for_algorithm(bundle, algorithm)
         return get_algorithm(algorithm).solve(space)
@@ -182,7 +178,6 @@ def solve_many(
     problems: Sequence[CQPProblem],
     algorithm: str = "c_maxbounds",
     algorithms: Optional[Sequence[Optional[str]]] = None,
-    mask_kernel: bool = True,
     frontier_cache=None,
 ) -> List[Optional[CQPSolution]]:
     """Solve many problems over one preference space, sharing structure.
@@ -199,8 +194,8 @@ def solve_many(
       into the axis's :class:`~repro.core.frontier_cache.FrontierMemo`
       so each solve takes the exact-hit path and runs only phase 2;
     * **warm chaining** — when the stacked kernel cannot serve an axis
-      (K too large, tuple kernel, cache disabled), unique solves still
-      run in descending-limit order so each sweep warm-starts from the
+      (K too large, cache disabled), unique solves still run in
+      descending-limit order so each sweep warm-starts from the
       previous frontier.
 
     ``algorithms`` optionally overrides the algorithm per problem (None
@@ -255,12 +250,7 @@ def solve_many(
         # The 2^K table pays for itself only when it serves several
         # boundary sweeps; a lone solve keeps the plain/warm-chain path.
         if len(boundary_limits) > 1:
-            bundle = SpaceBundle(
-                pspace,
-                axis_entries[0][0],
-                mask_kernel=mask_kernel,
-                frontier_cache=cache,
-            )
+            bundle = SpaceBundle(pspace, axis_entries[0][0], frontier_cache=cache)
             space = bundle.aligned_space()
             memo = space.frontier
             if memo is not None and stacked_supported(space):
@@ -271,13 +261,9 @@ def solve_many(
                 # Stored immediately before its solve so the memo's LRU
                 # can never evict a primed frontier before it is used.
                 memo.store(limit, primed[limit])
-            unique[(problem, alg)] = solve(
-                pspace, problem, alg, mask_kernel=mask_kernel, frontier_cache=cache
-            )
+            unique[(problem, alg)] = solve(pspace, problem, alg, frontier_cache=cache)
 
     for problem, alg in rest:
-        unique[(problem, alg)] = solve(
-            pspace, problem, alg, mask_kernel=mask_kernel, frontier_cache=cache
-        )
+        unique[(problem, alg)] = solve(pspace, problem, alg, frontier_cache=cache)
 
     return [unique[(problem, alg)] for problem, alg in zip(problems, resolved)]

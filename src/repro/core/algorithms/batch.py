@@ -60,7 +60,6 @@ def stacked_supported(space: SearchSpace) -> bool:
     """True when the stacked kernel can serve this space's frontiers."""
     return (
         space.budget_aligned
-        and space.mask_kernel
         and space.name in ("cost", "size")
         and 1 <= space.k <= MAX_STACKED_K
     )
@@ -72,7 +71,7 @@ def budget_table(space: SearchSpace) -> np.ndarray:
     Index ``m`` of the result is the budget of the rank state whose set
     bits are ``m``'s — computed through the stacked evaluator kernel in
     ascending *P-index* order, the exact gather order of the scalar
-    ``budget_mask``, so every entry is bit-identical to
+    mask kernel, so every entry is bit-identical to
     ``space.budget_value`` on that state.
     """
     if not stacked_supported(space):

@@ -3,8 +3,8 @@
 Two independent levers on search-layer throughput:
 
 * :func:`vertical_by_budget` prices the whole Vertical neighbor set of
-  a dequeued state through the estimator in **one batched call** (the
-  estimates are independent of each other) and returns the neighbors in
+  a dequeued state in **one** :meth:`SearchSpace.budget_values` call
+  (the estimates are independent of each other) and returns the neighbors in
   the paper's decreasing-budget order. Each figure still comes from the
   scalar kernel, so the ordering — and therefore the sweep — is
   bit-identical to neighbor-at-a-time evaluation.
@@ -115,7 +115,7 @@ def vertical_by_budget(
 
     Replicates ``neighbors.sort(key=space.budget_value, reverse=True)``
     exactly (stable order for equal budgets) while evaluating the whole
-    neighbor set in one batched estimator call.
+    neighbor set in one :meth:`SearchSpace.budget_values` call.
     """
     neighbors = space.vertical(state)
     if len(neighbors) > 1:
@@ -150,7 +150,6 @@ class SolvePlan:
     problems: Tuple[object, ...]
     algorithm: str = "c_maxbounds"
     algorithms: Optional[Tuple[Optional[str], ...]] = None
-    mask_kernel: bool = True
 
     def run(self, frontier_cache=None) -> List[object]:
         """Execute the plan (in whichever process it landed in)."""
@@ -162,7 +161,6 @@ class SolvePlan:
             list(self.problems),
             algorithm=self.algorithm,
             algorithms=algorithms,
-            mask_kernel=self.mask_kernel,
             frontier_cache=frontier_cache,
         )
 

@@ -18,7 +18,16 @@ Two layers:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # circular-import guard: the cache prices via us
     from repro.core.param_cache import ParameterCache
@@ -106,18 +115,14 @@ class StateEvaluator:
     Indices here are positions into ``P`` (the doi-ordered preference
     list), not ranks; spaces translate ranks → P-indices first.
 
-    Two equivalent kernels compute every parameter:
-
-    * the *tuple kernel* (``doi/cost/size(indices)``) — the original
-      API over index sequences, kept so the Section 5 algorithms run
-      unchanged;
-    * the *mask kernel* (``doi_mask/cost_mask/size_mask(mask)``) — the
-      same formulas over int-bitmask states: popcount group size, O(1)
-      membership, conflict pairs checked as ``mask & pair == pair``,
-      and (in the cached subclass) single-int cache keys with no
-      per-call ``tuple(sorted(...))``.
-
-    ``tests/core/test_mask_kernel.py`` property-tests their agreement.
+    Every parameter has one formula body, over int-bitmask states
+    (``doi_mask/cost_mask/size_mask/size_independent_mask``): set bits
+    are gathered in ascending P-index order, conflict pairs are checked
+    as ``mask & pair == pair``, and (in the cached subclass) a state's
+    cache key is the mask itself. ``doi/cost/size/size_independent``
+    take an index sequence and convert it with
+    :func:`~repro.core.state.mask_of`, for callers that hold tuples (the
+    brute-force oracle, the minimal-state search, Pareto sweeps).
     """
 
     def __init__(
@@ -128,7 +133,7 @@ class StateEvaluator:
         base_size: float,
         base_cost: float = 0.0,
         algebra: DoiAlgebra = PRODUCT_ALGEBRA,
-        conflicts: Sequence[Tuple[int, int]] = (),
+        conflicts: Iterable[Iterable[int]] = (),
     ) -> None:
         lengths = {len(doi_values), len(cost_values), len(reductions)}
         if len(lengths) != 1:
@@ -139,25 +144,30 @@ class StateEvaluator:
         self.base_size = base_size
         self.base_cost = base_cost
         self.algebra = algebra
-        # Pairs of mutually exclusive preferences (equality selections on
-        # the same attribute with different values): their conjunction is
-        # provably empty, which the independence product cannot see.
-        # size() pins such states to exactly 0, and Formula (8) still
-        # holds — supersets of a conflicted state stay conflicted at 0.
-        self.conflicts = frozenset(frozenset(pair) for pair in conflicts)
-        # Conflict pairs as two-bit masks: a mask state is conflicted
-        # iff it covers one of them (mask & pair == pair).
-        self.conflict_masks: Tuple[Mask, ...] = tuple(
-            sorted(mask_of(pair) for pair in self.conflicts)
-        )
+        self.conflicts = conflicts
         self.evaluations = 0
         self._dois_descending = sorted(self.doi_values, reverse=True)
 
-    def _conflicted(self, indices: Sequence[int]) -> bool:
-        if not self.conflicts:
-            return False
-        present = set(indices)
-        return any(pair <= present for pair in self.conflicts)
+    @property
+    def conflicts(self) -> FrozenSet[FrozenSet[int]]:
+        """Pairs of mutually exclusive preferences.
+
+        Equality selections on the same attribute with different values
+        have a provably empty conjunction, which the independence
+        product cannot see. :meth:`size_mask` pins such states to
+        exactly 0, and Formula (8) still holds — supersets of a
+        conflicted state stay conflicted at 0. Assigning the pairs also
+        rebuilds ``conflict_masks``, their two-bit masks, so the two
+        never disagree.
+        """
+        return self._conflicts
+
+    @conflicts.setter
+    def conflicts(self, pairs: Iterable[Iterable[int]]) -> None:
+        self._conflicts = frozenset(frozenset(pair) for pair in pairs)
+        self.conflict_masks: Tuple[Mask, ...] = tuple(
+            sorted(mask_of(pair) for pair in self._conflicts)
+        )
 
     def _conflicted_mask(self, mask: Mask) -> bool:
         return any(mask & pair == pair for pair in self.conflict_masks)
@@ -174,89 +184,57 @@ class StateEvaluator:
     def __len__(self) -> int:
         return len(self.doi_values)
 
-    def doi(self, indices: Sequence[int]) -> float:
-        """doi of the conjunction (Formula 3); 0 for the empty set."""
-        self.evaluations += 1
-        if not indices:
-            return 0.0
-        return self.algebra.conjunction_doi([self.doi_values[i] for i in indices])
-
-    def cost(self, indices: Sequence[int]) -> float:
-        """Σ sub-query costs (Formula 6); the bare query's cost when empty."""
-        self.evaluations += 1
-        if not indices:
-            return self.base_cost
-        return sum(self.cost_values[i] for i in indices)
-
-    def size(self, indices: Sequence[int]) -> float:
-        """size(Q) × Π reductions — monotone non-increasing in the set;
-        exactly 0 for states containing mutually exclusive preferences."""
-        self.evaluations += 1
-        if self._conflicted(indices):
-            return 0.0
-        return self.base_size * math.prod(self.reductions[i] for i in indices)
-
-    def size_independent(self, indices: Sequence[int]) -> float:
-        """The pure independence product, ignoring conflicts.
-
-        An upper bound on :meth:`size`. The Problem 1 search uses it as
-        the budget parameter: the conflict zeroing makes the true size
-        non-monotone along Vertical moves in the S-vector (a swap can
-        *introduce* a conflict), which would break the boundary
-        machinery; the independence product keeps the alignment, and the
-        conflict-aware window is enforced as an exact extra predicate.
-        """
-        self.evaluations += 1
-        return self.base_size * math.prod(self.reductions[i] for i in indices)
-
-    # -- the mask kernel ------------------------------------------------------------
+    # -- the formulas -----------------------------------------------------------------
 
     def doi_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`doi`."""
+        """doi of the conjunction (Formula 3); 0 for the empty set."""
         self.evaluations += 1
         if not mask:
             return 0.0
         return self.algebra.conjunction_doi(self._gather(self.doi_values, mask))
 
     def cost_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`cost`."""
+        """Σ sub-query costs (Formula 6); the bare query's cost when empty."""
         self.evaluations += 1
         if not mask:
             return self.base_cost
         return sum(self._gather(self.cost_values, mask))
 
     def size_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`size` (conflicts pin the size to 0)."""
+        """size(Q) × Π reductions — monotone non-increasing in the set;
+        exactly 0 for states containing mutually exclusive preferences."""
         self.evaluations += 1
         if self._conflicted_mask(mask):
             return 0.0
         return self.base_size * math.prod(self._gather(self.reductions, mask))
 
     def size_independent_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`size_independent` — bypasses both the
-        conflict zeroing and (in the cached subclass) the size cache."""
+        """The pure independence product, ignoring conflicts.
+
+        An upper bound on :meth:`size_mask`. The Problem 1 search uses it
+        as the budget parameter: the conflict zeroing makes the true size
+        non-monotone along Vertical moves in the S-vector (a swap can
+        *introduce* a conflict), which would break the boundary
+        machinery; the independence product keeps the alignment, and the
+        conflict-aware window is enforced as an exact extra predicate.
+        Bypasses the size cache of the cached subclass.
+        """
         self.evaluations += 1
         return self.base_size * math.prod(self._gather(self.reductions, mask))
 
-    # -- batched mask entry points ----------------------------------------------------
+    # -- index-sequence entry points ----------------------------------------------------
 
-    def cost_mask_many(self, masks: Sequence[Mask]) -> List[float]:
-        """Costs of many mask states in one call.
+    def doi(self, indices: Iterable[int]) -> float:
+        return self.doi_mask(mask_of(indices))
 
-        Each value goes through the *scalar* kernel, so batched figures
-        are bit-identical to one-at-a-time calls — only the Python call
-        overhead is amortized. Subclasses hoist their caches here.
-        """
-        cost_mask = self.cost_mask
-        return [cost_mask(mask) for mask in masks]
+    def cost(self, indices: Iterable[int]) -> float:
+        return self.cost_mask(mask_of(indices))
 
-    def size_independent_mask_many(self, masks: Sequence[Mask]) -> List[float]:
-        """Independence-product sizes of many mask states in one call."""
-        self.evaluations += len(masks)
-        base = self.base_size
-        reductions = self.reductions
-        gather = self._gather
-        return [base * math.prod(gather(reductions, mask)) for mask in masks]
+    def size(self, indices: Iterable[int]) -> float:
+        return self.size_mask(mask_of(indices))
+
+    def size_independent(self, indices: Iterable[int]) -> float:
+        return self.size_independent_mask(mask_of(indices))
 
     # -- stacked mask entry points (vectorized, bit-identical) -------------------------
 
@@ -332,14 +310,14 @@ class CachedStateEvaluator(StateEvaluator):
     `bench_ablations.py` quantifies it.
 
     Caches key on the state's bitmask — one int per state, no
-    ``tuple(sorted(...))`` per call. The tuple API is a thin shim that
-    converts indices to a mask and rides the same caches, so tuple and
-    mask callers share hits. ``evaluations`` counts *every* parameter
-    request, hit or miss (invariant: ``evaluations == hits + misses``
-    when only cached entry points are used), keeping
-    ``SearchStats.parameter_evaluations`` comparable between cached and
-    uncached runs. :meth:`size_independent` stays uncached and bypasses
-    the conflict zeroing by design (see its base docstring).
+    ``tuple(sorted(...))`` per call; the index-sequence entry points
+    convert to a mask first and so share the same hits. ``evaluations``
+    counts *every* parameter request, hit or miss (invariant:
+    ``evaluations == hits + misses`` when only cached entry points are
+    used), keeping ``SearchStats.parameter_evaluations`` comparable
+    between cached and uncached runs. :meth:`size_independent_mask`
+    stays uncached and bypasses the conflict zeroing by design (see its
+    base docstring).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -360,7 +338,7 @@ class CachedStateEvaluator(StateEvaluator):
             base_size=evaluator.base_size,
             base_cost=evaluator.base_cost,
             algebra=evaluator.algebra,
-            conflicts=[tuple(pair) for pair in evaluator.conflicts],
+            conflicts=evaluator.conflicts,
         )
 
     def _cached(self, cache: Dict[Mask, float], compute, mask: Mask) -> float:
@@ -384,38 +362,6 @@ class CachedStateEvaluator(StateEvaluator):
 
     def size_mask(self, mask: Mask) -> float:
         return self._cached(self._size_cache, super().size_mask, mask)
-
-    def cost_mask_many(self, masks: Sequence[Mask]) -> List[float]:
-        """Batched :meth:`cost_mask` with the cache dict hoisted out of
-        the loop; counter semantics identical to :meth:`_cached` (hits
-        count as evaluations, misses bump inside the base kernel)."""
-        cache = self._cost_cache
-        compute = super().cost_mask
-        out: List[float] = []
-        hits = 0
-        for mask in masks:
-            value = cache.get(mask)
-            if value is None:
-                self.cache_misses += 1
-                value = compute(mask)
-                cache[mask] = value
-            else:
-                hits += 1
-            out.append(value)
-        self.cache_hits += hits
-        self.evaluations += hits
-        return out
-
-    # -- tuple shims ------------------------------------------------------------------
-
-    def doi(self, indices: Sequence[int]) -> float:
-        return self.doi_mask(mask_of(indices))
-
-    def cost(self, indices: Sequence[int]) -> float:
-        return self.cost_mask(mask_of(indices))
-
-    def size(self, indices: Sequence[int]) -> float:
-        return self.size_mask(mask_of(indices))
 
     def cache_info(self) -> Dict[str, int]:
         return {"hits": self.cache_hits, "misses": self.cache_misses}

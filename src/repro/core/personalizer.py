@@ -79,7 +79,6 @@ class Personalizer:
         algebra: DoiAlgebra = PRODUCT_ALGEBRA,
         default_algorithm: str = "c_maxbounds",
         param_cache: Optional[ParameterCache] = None,
-        mask_kernel: bool = True,
         engine: str = "columnar",
         frontier_cache: Optional[FrontierCache] = None,
     ) -> None:
@@ -89,8 +88,6 @@ class Personalizer:
         disable). ``frontier_cache`` does the same one layer up: shared
         per-state parameter evaluations plus warm-started boundary
         sweeps across constraint values (same defaulting convention).
-        ``mask_kernel=False`` falls back to the tuple
-        evaluation kernel (identical results, slower — benchmarks).
         ``engine="row"`` restores the row-at-a-time executor instead of
         the columnar kernel (identical rows and cost receipts — the
         execution-engine ablation)."""
@@ -103,7 +100,6 @@ class Personalizer:
         self.frontier_cache = (
             frontier_cache if frontier_cache is not None else FrontierCache()
         )
-        self.mask_kernel = mask_kernel
         self.engine = engine
         self.executor = Executor(database, engine=engine)
 
@@ -235,7 +231,6 @@ class Personalizer:
                 pspace,
                 problems,
                 algorithms=resolved,
-                mask_kernel=self.mask_kernel,
                 frontier_cache=self.frontier_cache,
             )
         else:

@@ -153,7 +153,6 @@ class PersonalizationService:
         learning_config: Optional[LearningConfig] = None,
         learning_weight: float = 0.3,
         param_cache: Optional[ParameterCache] = None,
-        mask_kernel: bool = True,
         engine: str = "columnar",
         frontier_cache: Optional[FrontierCache] = None,
         parallelism: int = 1,
@@ -166,7 +165,7 @@ class PersonalizationService:
         re-blended with one learned from their query log (0 = never).
         ``learning_config`` defaults to a fresh :class:`LearningConfig`
         per service (never a shared instance). ``param_cache`` /
-        ``mask_kernel`` / ``engine`` / ``frontier_cache`` are forwarded
+        ``engine`` / ``frontier_cache`` are forwarded
         to the :class:`Personalizer` (``engine="row"`` restores the
         row-at-a-time execution path). ``parallelism`` is the default
         fan-out for :meth:`request_many`'s independent per-group solves;
@@ -218,7 +217,6 @@ class PersonalizationService:
             database,
             algebra=algebra,
             param_cache=param_cache,
-            mask_kernel=mask_kernel,
             engine=engine,
             frontier_cache=frontier_cache,
         )

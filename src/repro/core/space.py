@@ -6,6 +6,9 @@ sets, evaluates the *budget* parameter (the constraint the boundary
 structure is built on — cost for Problem 2), the *objective* (doi for
 Problems 1–3), and any extra feasibility predicates (e.g. size bounds in
 Problem 3, checked outside the boundary machinery per Section 6).
+The algorithms walk rank tuples; each of the three evaluation callables
+takes the P-index bitmask of a state, so every parameter has one code
+path (the evaluator's mask kernel).
 
 ``budget_aligned`` records whether the vector sorts the budget's
 per-preference contributions in decreasing order — the property the
@@ -32,31 +35,23 @@ _TOL = 1e-9
 class SearchSpace:
     """One rank vector + evaluation functions, the algorithms' substrate.
 
-    Evaluation runs on one of two kernels. The tuple kernel calls the
-    ``budget``/``objective``/``extra`` callables with P-index tuples.
-    When the mask twins (``budget_mask``/``objective_mask``/
-    ``extra_mask``) are supplied, the hot entry points instead translate
-    rank states to P-index *bitmasks* via a precomputed per-rank bit
-    table and evaluate those — no tuple allocation, and single-int cache
-    keys downstream. The algorithms keep calling the tuple-state API
-    either way; only the evaluation plumbing changes.
+    ``budget``, ``objective`` and ``extra`` take a P-index *bitmask*:
+    the algorithms hand in rank tuples, and the space translates each to
+    its mask through a precomputed per-rank bit table — no tuple
+    allocation, and single-int cache keys downstream.
     """
 
     def __init__(
         self,
         vector: Sequence[int],
         evaluator: StateEvaluator,
-        budget: Callable[[Sequence[int]], float],
+        budget: Callable[[Mask], float],
         limit: float,
-        objective: Callable[[Sequence[int]], float],
+        objective: Callable[[Mask], float],
         objective_upper_bound: Callable[[int], float],
         budget_aligned: bool,
-        extra: Optional[Callable[[Sequence[int]], bool]] = None,
+        extra: Optional[Callable[[Mask], bool]] = None,
         name: str = "",
-        budget_mask: Optional[Callable[[Mask], float]] = None,
-        objective_mask: Optional[Callable[[Mask], float]] = None,
-        extra_mask: Optional[Callable[[Mask], bool]] = None,
-        budget_mask_many: Optional[Callable[[Sequence[Mask]], List[float]]] = None,
     ) -> None:
         if sorted(vector) != list(range(len(vector))):
             raise SearchError("vector must be a permutation of 0..K-1")
@@ -69,10 +64,6 @@ class SearchSpace:
         self.budget_aligned = budget_aligned
         self._extra = extra
         self.name = name
-        self._budget_mask = budget_mask
-        self._objective_mask = objective_mask
-        self._extra_mask = extra_mask
-        self._budget_mask_many = budget_mask_many
         # Frontier memo attached by SpaceBundle when a FrontierCache is
         # in play (budget-aligned spaces only); algorithms may ignore it.
         self.frontier = None
@@ -83,11 +74,6 @@ class SearchSpace:
     @property
     def k(self) -> int:
         return len(self.vector)
-
-    @property
-    def mask_kernel(self) -> bool:
-        """True when evaluation runs on the bitmask kernel."""
-        return self._budget_mask is not None
 
     # -- state interpretation ---------------------------------------------------
 
@@ -104,30 +90,19 @@ class SearchSpace:
         return mask
 
     def budget_value(self, state: State) -> float:
-        if self._budget_mask is not None:
-            return self._budget_mask(self.pref_mask(state))
-        return self._budget(self.prefs(state))
+        return self._budget(self.pref_mask(state))
 
     def within_budget(self, state: State) -> bool:
         return self.budget_value(state) <= self._feasible_limit
 
     def budget_values(self, states: Sequence[State]) -> List[float]:
-        """Budget parameters of many states in one batched call.
-
-        Rides the evaluator's batched mask kernel when available; each
-        figure still comes from the scalar arithmetic, so the results
-        are bit-identical to state-at-a-time :meth:`budget_value`.
-        """
-        if self._budget_mask_many is not None:
-            pref_mask = self.pref_mask
-            return self._budget_mask_many([pref_mask(state) for state in states])
-        budget_value = self.budget_value
-        return [budget_value(state) for state in states]
+        """Budget parameters of many states (one Vertical neighbor batch)."""
+        budget = self._budget
+        pref_mask = self.pref_mask
+        return [budget(pref_mask(state)) for state in states]
 
     def objective_value(self, state: State) -> float:
-        if self._objective_mask is not None:
-            return self._objective_mask(self.pref_mask(state))
-        return self._objective(self.prefs(state))
+        return self._objective(self.pref_mask(state))
 
     def upper_bound(self, group: int) -> float:
         """Optimistic objective for any state of ``group`` preferences."""
@@ -136,9 +111,7 @@ class SearchSpace:
     def extra_feasible(self, state: State) -> bool:
         if self._extra is None:
             return True
-        if self._extra_mask is not None:
-            return self._extra_mask(self.pref_mask(state))
-        return self._extra(self.prefs(state))
+        return self._extra(self.pref_mask(state))
 
     @property
     def has_extra(self) -> bool:
@@ -178,17 +151,6 @@ class SearchSpace:
     def horizontal2(self, state: State) -> List[State]:
         return tr.horizontal2(state, self.k)
 
-    # -- transitions (mask-level twins) ------------------------------------------------
-
-    def horizontal_mask(self, mask: Mask) -> Optional[Mask]:
-        return tr.horizontal_mask(mask, self.k)
-
-    def vertical_mask(self, mask: Mask) -> List[Mask]:
-        return tr.vertical_mask(mask, self.k)
-
-    def horizontal2_mask(self, mask: Mask) -> List[Mask]:
-        return tr.horizontal2_mask(mask, self.k)
-
 
 class SpaceBundle:
     """Couples an extracted preference space with one CQP problem and
@@ -204,14 +166,12 @@ class SpaceBundle:
         pspace: PreferenceSpace,
         problem: CQPProblem,
         cached: bool = True,
-        mask_kernel: bool = True,
         frontier_cache=None,
     ) -> None:
         from repro.core.estimation import CachedStateEvaluator
 
         self.pspace = pspace
         self.problem = problem
-        self.mask_kernel = mask_kernel
         # A FrontierCache supplies the shared evaluator (per-state
         # parameters carried across solves) and the frontier memos the
         # budget-aligned spaces warm-start from. Only meaningful with
@@ -241,24 +201,7 @@ class SpaceBundle:
 
     # -- feasibility pieces --------------------------------------------------------
 
-    def _size_extra(self) -> Optional[Callable[[Sequence[int]], bool]]:
-        constraints = self.problem.constraints
-        if not constraints.has_size_bounds:
-            return None
-        evaluator = self.evaluator
-
-        def check(indices: Sequence[int]) -> bool:
-            size = evaluator.size(indices)
-            if constraints.smin is not None and size < constraints.smin * (1 - _TOL) - _TOL:
-                return False
-            if constraints.smax is not None and size > constraints.smax * (1 + _TOL) + _TOL:
-                return False
-            return True
-
-        return check
-
-    def _size_extra_mask(self) -> Optional[Callable[[Mask], bool]]:
-        """Mask twin of :meth:`_size_extra` (same window, mask states)."""
+    def _size_extra(self) -> Optional[Callable[[Mask], bool]]:
         constraints = self.problem.constraints
         if not constraints.has_size_bounds:
             return None
@@ -274,7 +217,7 @@ class SpaceBundle:
 
         return check
 
-    def _smin_only_extra(self) -> Optional[Callable[[Sequence[int]], bool]]:
+    def _smin_only_extra(self) -> Optional[Callable[[Mask], bool]]:
         """The predicate left over when smin drives the budget.
 
         Without conflicts only the smax side needs re-checking; with
@@ -288,26 +231,22 @@ class SpaceBundle:
         if not evaluator.conflicts:
             smax = constraints.smax
 
-            def check(indices: Sequence[int]) -> bool:
-                return evaluator.size(indices) <= smax * (1 + _TOL) + _TOL
-
-            return check
-        return self._size_extra()
-
-    def _smin_only_extra_mask(self) -> Optional[Callable[[Mask], bool]]:
-        """Mask twin of :meth:`_smin_only_extra`."""
-        constraints = self.problem.constraints
-        evaluator = self.evaluator
-        if constraints.smax is None and not evaluator.conflicts:
-            return None
-        if not evaluator.conflicts:
-            smax = constraints.smax
-
             def check(mask: Mask) -> bool:
                 return evaluator.size_mask(mask) <= smax * (1 + _TOL) + _TOL
 
             return check
-        return self._size_extra_mask()
+        return self._size_extra()
+
+    def _independent_size_budget(self) -> Callable[[Mask], float]:
+        """−size on the independence product: keeps Vertical moves
+        monotone (see :meth:`StateEvaluator.size_independent_mask`);
+        conflicts are re-checked by the extra predicate."""
+        size_independent_mask = self.evaluator.size_independent_mask
+
+        def budget(mask: Mask) -> float:
+            return -size_independent_mask(mask)
+
+        return budget
 
     def _doi_upper_bound(self, group: int) -> float:
         return self.evaluator.best_doi_of_size(group)
@@ -319,21 +258,16 @@ class SpaceBundle:
         cmax = self.problem.constraints.cmax
         if cmax is None:
             raise SearchError("cost space needs a cost upper bound (Problems 2-3)")
-        masked = self.mask_kernel
         space = SearchSpace(
             vector=self.pspace.vector_c,
             evaluator=self.evaluator,
-            budget=self.evaluator.cost,
+            budget=self.evaluator.cost_mask,
             limit=cmax,
-            objective=self.evaluator.doi,
+            objective=self.evaluator.doi_mask,
             objective_upper_bound=self._doi_upper_bound,
             budget_aligned=True,
             extra=self._size_extra(),
             name="cost",
-            budget_mask=self.evaluator.cost_mask if masked else None,
-            objective_mask=self.evaluator.doi_mask if masked else None,
-            extra_mask=self._size_extra_mask() if masked else None,
-            budget_mask_many=self.evaluator.cost_mask_many if masked else None,
         )
         space.frontier = self._frontier_memo(space)
         return space
@@ -346,30 +280,14 @@ class SpaceBundle:
         :meth:`size_space` — the Section 6 direction flip.
         """
         constraints = self.problem.constraints
-        masked = self.mask_kernel
-        budget_mask: Optional[Callable[[Mask], float]] = None
-        extra_mask: Optional[Callable[[Mask], bool]] = None
         if constraints.cmax is not None:
-            budget = self.evaluator.cost
+            budget = self.evaluator.cost_mask
             limit: float = constraints.cmax
             extra = self._size_extra()
-            if masked:
-                budget_mask = self.evaluator.cost_mask
-                extra_mask = self._size_extra_mask()
         elif constraints.smin is not None:
-            evaluator = self.evaluator
-
-            def budget(indices: Sequence[int]) -> float:
-                return -evaluator.size_independent(indices)
-
+            budget = self._independent_size_budget()
             limit = -constraints.smin
             extra = self._smin_only_extra()
-            if masked:
-
-                def budget_mask(mask: Mask) -> float:
-                    return -evaluator.size_independent_mask(mask)
-
-                extra_mask = self._smin_only_extra_mask()
         else:
             raise SearchError("doi space needs a cost or size constraint")
         return SearchSpace(
@@ -377,14 +295,11 @@ class SpaceBundle:
             evaluator=self.evaluator,
             budget=budget,
             limit=limit,
-            objective=self.evaluator.doi,
+            objective=self.evaluator.doi_mask,
             objective_upper_bound=self._doi_upper_bound,
             budget_aligned=False,
             extra=extra,
             name="doi",
-            budget_mask=budget_mask,
-            objective_mask=self.evaluator.doi_mask if masked else None,
-            extra_mask=extra_mask,
         )
 
     def aligned_space(self) -> SearchSpace:
@@ -406,36 +321,16 @@ class SpaceBundle:
         constraints = self.problem.constraints
         if constraints.smin is None:
             raise SearchError("size space needs a size lower bound (Problem 1)")
-        evaluator = self.evaluator
-        smin = constraints.smin
-        masked = self.mask_kernel
-
-        def budget(indices: Sequence[int]) -> float:
-            # The independence product keeps Vertical moves monotone
-            # (see StateEvaluator.size_independent); conflicts are
-            # re-checked by the extra predicate.
-            return -evaluator.size_independent(indices)
-
-        def budget_mask(mask: Mask) -> float:
-            return -evaluator.size_independent_mask(mask)
-
-        def budget_mask_many(masks: Sequence[Mask]) -> List[float]:
-            return [-value for value in evaluator.size_independent_mask_many(masks)]
-
         space = SearchSpace(
             vector=self.pspace.vector_s,
             evaluator=self.evaluator,
-            budget=budget,
-            limit=-smin,
-            objective=self.evaluator.doi,
+            budget=self._independent_size_budget(),
+            limit=-constraints.smin,
+            objective=self.evaluator.doi_mask,
             objective_upper_bound=self._doi_upper_bound,
             budget_aligned=True,
             extra=self._smin_only_extra(),
             name="size",
-            budget_mask=budget_mask if masked else None,
-            objective_mask=self.evaluator.doi_mask if masked else None,
-            extra_mask=self._smin_only_extra_mask() if masked else None,
-            budget_mask_many=budget_mask_many if masked else None,
         )
         space.frontier = self._frontier_memo(space)
         return space
@@ -450,11 +345,3 @@ class SpaceBundle:
         if self.problem.constraints.cmax is not None:
             return self.cost_space()
         return self.size_space()
-
-    # -- solutions --------------------------------------------------------------------
-
-    def solution(
-        self, space: SearchSpace, state: State, algorithm: str, stats: SearchStats
-    ) -> CQPSolution:
-        """Materialize a solution record from a rank state."""
-        return space.solution(state, algorithm, stats)

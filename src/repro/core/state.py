@@ -9,14 +9,12 @@ are involved.
 
 Ranks are 0-based here (the paper is 1-based).
 
-Alongside the tuple representation there is an *int bitmask* kernel:
-a state is one Python int whose set bits are the ranks (or P-indices)
-it contains. Masks make membership, group size (popcount), and cache
-keys O(1) single-int operations with no per-call ``tuple(sorted(...))``;
-:mod:`repro.core.transitions` implements the Section 5 transitions as
-bit twiddling on them. Both representations are interconvertible and
-every consumer may pick whichever fits; the algorithms keep the tuple
-API, which the evaluation layer shims onto the mask kernel.
+The evaluation layer keys states as *int bitmasks* instead: one Python
+int whose set bits are the P-indices a state contains
+(:func:`mask_of` / :func:`state_of` convert). Every doi/cost/size
+formula runs on masks — O(1) membership and single-int cache keys with
+no per-call ``tuple(sorted(...))`` — while the Section 5 algorithms walk
+rank tuples and their search spaces translate each state to its mask.
 """
 
 from __future__ import annotations
@@ -82,37 +80,3 @@ def state_of(mask: Mask) -> State:
         state.append(low.bit_length() - 1)
         mask ^= low
     return tuple(state)
-
-
-def mask_group_size(mask: Mask) -> int:
-    """Group of a mask state: its popcount (Def. 1), O(1)."""
-    return mask.bit_count()
-
-
-def mask_contains(mask: Mask, rank: int) -> bool:
-    """O(1) membership test."""
-    return bool((mask >> rank) & 1)
-
-
-def mask_is_below(mask: Mask, origin: Mask) -> bool:
-    """Mask-native :func:`is_below` (componentwise dominance).
-
-    ``state[i] >= origin[i]`` for sorted tuples is equivalent to: for
-    every rank prefix ``[0, r]``, the state holds at most as many ranks
-    in it as the origin does. Scanning the union's set bits keeps the
-    check O(popcount) without materializing tuples.
-    """
-    if mask.bit_count() != origin.bit_count():
-        return False
-    union = mask | origin
-    ahead = 0  # (#origin bits) - (#mask bits) seen so far
-    while union:
-        low = union & -union
-        union ^= low
-        if origin & low:
-            ahead += 1
-        if mask & low:
-            ahead -= 1
-            if ahead < 0:
-                return False
-    return True

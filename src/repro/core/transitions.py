@@ -16,17 +16,13 @@ known:
 
 Because ranks are positions in a sorted vector, all ordering here is
 syntactic: no parameter values are consulted.
-
-Each transition also has a mask-native twin (``*_mask``) operating on
-int-bitmask states — pure bit twiddling, no tuple allocation — emitting
-neighbors in exactly the same order as the tuple versions.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.state import Mask, State, make_state
+from repro.core.state import State, make_state
 
 
 def horizontal(state: State, k: int) -> Optional[State]:
@@ -78,61 +74,6 @@ def horizontal2(state: State, k: int) -> List[State]:
         if rank not in present:
             neighbors.append(make_state(state + (rank,)))
     return neighbors
-
-
-# -- mask-native twins --------------------------------------------------------------
-
-
-def horizontal_mask(mask: Mask, k: int) -> Optional[Mask]:
-    """Mask twin of :func:`horizontal`: set the bit after the highest one."""
-    if not mask:
-        return 1 if k > 0 else None
-    last = mask.bit_length() - 1
-    if last + 1 >= k:
-        return None
-    return mask | (1 << (last + 1))
-
-
-def vertical_mask(mask: Mask, k: int) -> List[Mask]:
-    """Mask twin of :func:`vertical`: shift each lone bit up by one.
-
-    A rank is replaceable when its successor bit is clear and inside the
-    vector; neighbors come rightmost-replaced first, like the tuple
-    version.
-    """
-    neighbors: List[Mask] = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        successor = low << 1
-        if successor.bit_length() <= k and not (mask & successor):
-            neighbors.append((mask ^ low) | successor)
-    neighbors.reverse()  # ascending scan -> rightmost-first order
-    return neighbors
-
-
-def horizontal2_mask(mask: Mask, k: int) -> List[Mask]:
-    """Mask twin of :func:`horizontal2`: set every clear bit, ascending."""
-    neighbors: List[Mask] = []
-    for rank in range(k):
-        bit = 1 << rank
-        if not (mask & bit):
-            neighbors.append(mask | bit)
-    return neighbors
-
-
-def vertical_predecessors_mask(mask: Mask, k: int) -> List[Mask]:
-    """Mask twin of :func:`vertical_predecessors` (leftmost-first order)."""
-    predecessors: List[Mask] = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        predecessor = low >> 1
-        if predecessor and not (mask & predecessor):
-            predecessors.append((mask ^ low) | predecessor)
-    return predecessors
 
 
 def vertical_predecessors(state: State, k: int) -> List[State]:

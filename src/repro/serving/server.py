@@ -5,7 +5,8 @@ sans-IO policy components (batcher, admission controller, degradation
 policy, scoreboard). Its responsibilities are exactly the ones that
 need an event loop and nothing more:
 
-* ``submit()`` — validate, admit (or raise
+* ``submit()`` — validate (user, context, and the query parsed and
+  bound against the schema), admit (or raise
   :class:`~repro.serving.admission.AdmissionRejected` with a
   retry-after), enqueue, and await the response future;
 * the collector task — wait until the batcher says a batch is due
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Set, Union
 
 from repro.core.context import SearchContext, problem_for_context
+from repro.core.rewriter import QueryRewriter
 from repro.core.service import BatchRequest, PersonalizationService, ServiceResponse
 from repro.errors import PreferenceError
 from repro.serving.admission import AdmissionController, AdmissionRejected
@@ -39,6 +41,7 @@ from repro.serving.clock import SystemClock
 from repro.serving.config import ServingConfig
 from repro.serving.degradation import DegradationPolicy
 from repro.serving.taxonomy import TierScoreboard, classify
+from repro.sql.parser import parse_select
 
 
 @dataclass
@@ -140,8 +143,9 @@ class AsyncPersonalizationServer:
         Accepts a prepared :class:`BatchRequest`, or a SQL string with
         ``user=`` plus a ``context=`` the problem policy can price
         (an unconstrained context is rejected — Section 1's
-        over-personalization degeneracy). Validation errors raise
-        immediately; an admission rejection raises
+        over-personalization degeneracy). Validation errors — unknown
+        user or context, unparseable SQL, a column no FROM relation
+        has — raise immediately; an admission rejection raises
         :class:`AdmissionRejected` carrying the tier's retry-after.
         Otherwise the call parks on the response future until its batch
         is flushed, solved, and classified.
@@ -156,8 +160,13 @@ class AsyncPersonalizationServer:
             )
         tier_cfg = self.config.tier(tier if tier is not None else self.config.default_tier)
         # Validate before admitting: a bad request must fail its caller,
-        # never poison the batch it would have joined.
+        # never poison the batch it would have joined. The query is
+        # parsed and its columns bound here, and the parsed form rides
+        # on so the batch does not parse it again.
         self.service.profile_of(request.user)
+        if isinstance(request.query, str):
+            request = replace(request, query=parse_select(request.query))
+        QueryRewriter(request.query, schema=self.service.personalizer.database.schema)
         if request.problem is None:
             if request.context is None:
                 raise PreferenceError("a request needs a context or a problem")

@@ -119,7 +119,6 @@ def compile_workload(
     default_algorithm: str = "c_maxbounds",
     k_limit: Optional[int] = None,
     algebra: DoiAlgebra = PRODUCT_ALGEBRA,
-    mask_kernel: bool = True,
     parallelism: int = 1,
     backend: str = "auto",
     precompute_frames: bool = True,
@@ -212,7 +211,6 @@ def compile_workload(
                 pspace,
                 cluster_problems,
                 algorithms=[resolved[i] for i in cluster],
-                mask_kernel=mask_kernel,
                 frontier_cache=unit_frontier,
             )
         else:

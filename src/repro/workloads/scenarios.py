@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.estimation import StateEvaluator
 from repro.core.space import SearchSpace
+from repro.core.state import Mask, state_of
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.profile import UserProfile
 from repro.sql.ast_nodes import SelectQuery
@@ -115,23 +116,38 @@ def _doi_upper_bound(evaluator: StateEvaluator) -> Callable[[int], float]:
     return evaluator.best_doi_of_size
 
 
+def _mask_predicate(
+    extra: Optional[Callable[[Sequence[int]], bool]]
+) -> Optional[Callable[[Mask], bool]]:
+    """An index-tuple predicate as the mask predicate a space takes."""
+    if extra is None:
+        return None
+
+    def check(mask: Mask) -> bool:
+        return extra(state_of(mask))
+
+    return check
+
+
 def make_cost_space(
     evaluator: StateEvaluator,
     cmax: float,
     extra: Optional[Callable[[Sequence[int]], bool]] = None,
 ) -> SearchSpace:
-    """A Problem 2 cost space (vector C) over a synthetic evaluator."""
+    """A Problem 2 cost space (vector C) over a synthetic evaluator.
+
+    ``extra`` takes the ascending P-index tuple of a state."""
     k = len(evaluator)
     vector = sorted(range(k), key=lambda i: (-evaluator.cost_values[i], i))
     return SearchSpace(
         vector=vector,
         evaluator=evaluator,
-        budget=evaluator.cost,
+        budget=evaluator.cost_mask,
         limit=cmax,
-        objective=evaluator.doi,
+        objective=evaluator.doi_mask,
         objective_upper_bound=_doi_upper_bound(evaluator),
         budget_aligned=True,
-        extra=extra,
+        extra=_mask_predicate(extra),
         name="cost",
     )
 
@@ -147,12 +163,12 @@ def make_doi_space(
     return SearchSpace(
         vector=vector,
         evaluator=evaluator,
-        budget=evaluator.cost,
+        budget=evaluator.cost_mask,
         limit=cmax,
-        objective=evaluator.doi,
+        objective=evaluator.doi_mask,
         objective_upper_bound=_doi_upper_bound(evaluator),
         budget_aligned=False,
-        extra=extra,
+        extra=_mask_predicate(extra),
         name="doi",
     )
 
@@ -162,26 +178,33 @@ def make_size_space(
     smin: float,
     smax: Optional[float] = None,
 ) -> SearchSpace:
-    """A Problem 1 size space (vector S) over a synthetic evaluator."""
+    """A Problem 1 size space (vector S) over a synthetic evaluator.
+
+    Like :meth:`~repro.core.space.SpaceBundle.size_space`, the budget is
+    the independence product, which keeps Vertical moves monotone; the
+    conflict-aware size window is re-checked by the extra predicate."""
     k = len(evaluator)
     vector = sorted(range(k), key=lambda i: (evaluator.reductions[i], i))
+    size_mask = evaluator.size_mask
+    size_independent_mask = evaluator.size_independent_mask
 
-    def budget(indices: Sequence[int]) -> float:
-        return -evaluator.size(indices)
+    def budget(mask: Mask) -> float:
+        return -size_independent_mask(mask)
 
     extra = None
-    if smax is not None:
-        bound = smax
+    if smax is not None or evaluator.conflicts:
+        lower = smin * (1 - 1e-9) - 1e-9
+        upper = float("inf") if smax is None else smax * (1 + 1e-9) + 1e-9
 
-        def extra(indices: Sequence[int]) -> bool:  # noqa: F811
-            return evaluator.size(indices) <= bound * (1 + 1e-9) + 1e-9
+        def extra(mask: Mask) -> bool:  # noqa: F811
+            return lower <= size_mask(mask) <= upper
 
     return SearchSpace(
         vector=vector,
         evaluator=evaluator,
         budget=budget,
         limit=-smin,
-        objective=evaluator.doi,
+        objective=evaluator.doi_mask,
         objective_upper_bound=_doi_upper_bound(evaluator),
         budget_aligned=True,
         extra=extra,

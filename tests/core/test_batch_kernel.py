@@ -34,13 +34,11 @@ from repro.testing.differential import (
     synthetic_scenario,
     table1_problems,
 )
+from repro.workloads.scenarios import make_size_space, make_synthetic_evaluator
 
 
-def _aligned_space(pspace, problem, cache=None, mask_kernel=True):
-    bundle = SpaceBundle(
-        pspace, problem, mask_kernel=mask_kernel, frontier_cache=cache
-    )
-    return bundle.aligned_space()
+def _aligned_space(pspace, problem, cache=None):
+    return SpaceBundle(pspace, problem, frontier_cache=cache).aligned_space()
 
 
 def _swept_frontier(pspace, problem):
@@ -86,20 +84,28 @@ class TestStackedFrontiers:
     def test_budget_table_is_bit_identical_to_scalar_kernel(self):
         pspace = synthetic_scenario(5, k_min=6, k_max=6)
         problem = CQPProblem.problem2(cmax=pspace.supreme_cost() * 0.5)
-        space = _aligned_space(pspace, problem, cache=FrontierCache())
-        table = budget_table(space)
-        k = space.k
-        for mask in range(1 << k):
-            state = tuple(r for r in range(k) if (mask >> r) & 1)
-            assert table[mask] == space.budget_value(state), state
+        # A size space over an evaluator with a conflict pair: its budget
+        # must stay the independence product the table computes.
+        evaluator = make_synthetic_evaluator(
+            [0.9, 0.8, 0.7, 0.6], [10.0, 20.0, 30.0, 40.0],
+            [500.0, 400.0, 300.0, 200.0], base_size=1000.0,
+        )
+        evaluator.conflicts = [(0, 1)]
+        spaces = [
+            _aligned_space(pspace, problem, cache=FrontierCache()),
+            make_size_space(evaluator, smin=10.0),
+        ]
+        for space in spaces:
+            assert stacked_supported(space)
+            table = budget_table(space)
+            k = space.k
+            for mask in range(1 << k):
+                state = tuple(r for r in range(k) if (mask >> r) & 1)
+                assert table[mask] == space.budget_value(state), state
 
     def test_gating_rejects_unaligned_and_tuple_kernels(self):
         pspace = synthetic_scenario(3, k_min=4, k_max=6)
         problem = CQPProblem.problem2(cmax=pspace.supreme_cost() * 0.5)
-        tuple_space = _aligned_space(
-            pspace, problem, cache=FrontierCache(), mask_kernel=False
-        )
-        assert not stacked_supported(tuple_space)
         doi_space = SpaceBundle(
             pspace, problem, frontier_cache=FrontierCache()
         ).doi_space()

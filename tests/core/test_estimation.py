@@ -104,6 +104,22 @@ class TestStateEvaluatorTable2:
         with pytest.raises(SearchError):
             StateEvaluator([0.5], [1.0, 2.0], [0.5], base_size=10)
 
+    def test_assigned_conflicts_reach_every_entry_point(self):
+        # Conflict pairs assigned after construction must be seen by
+        # every entry point, not only by the ones built on ``conflicts``.
+        evaluator = StateEvaluator(
+            [0.9, 0.8], [10.0, 10.0], [0.5, 0.4], base_size=1000.0
+        )
+        assert evaluator.size_mask(0b11) == pytest.approx(200.0)
+        evaluator.conflicts = frozenset({frozenset({0, 1})})
+        assert evaluator.conflict_masks == (0b11,)
+        assert evaluator.size((0, 1)) == 0.0
+        assert evaluator.size_mask(0b11) == 0.0
+        assert evaluator.size_independent_mask(0b11) == pytest.approx(200.0)
+        evaluator.conflicts = ()
+        assert evaluator.conflict_masks == ()
+        assert evaluator.size_mask(0b11) == pytest.approx(200.0)
+
 
 # Hypothesis: the three partial orders (Formulas 4, 7, 8) hold for any
 # evaluator and any pair of nested states.

@@ -1,25 +1,14 @@
-"""The bitmask state kernel: mask primitives, mask transitions, and
-property tests that the mask evaluation kernel agrees with the tuple
-kernel everywhere — on random states and at the solve level for every
-Table 1 problem family."""
+"""The bitmask state kernel: the mask/tuple round trip, and property
+tests that the evaluator's mask formulas compute the paper's doi, cost
+and size bit-exactly — plain, with conflict pairs, and cached."""
 
+import math
 import random
-from itertools import combinations
 
 import pytest
 
-from repro.core import adapters, transitions as tr
 from repro.core.estimation import CachedStateEvaluator, StateEvaluator
-from repro.core.preference_space import extract_preference_space
-from repro.core.problem import CQPProblem
-from repro.core.state import (
-    is_below,
-    mask_contains,
-    mask_group_size,
-    mask_is_below,
-    mask_of,
-    state_of,
-)
+from repro.core.state import mask_of, state_of
 
 K = 16
 N_RANDOM_STATES = 200  # per-problem floor for the equivalence sweeps
@@ -51,95 +40,51 @@ class TestMaskPrimitives:
         for state in random_states(seed=1):
             assert state_of(mask_of(state)) == state
 
-    def test_group_size_is_popcount(self):
-        for state in random_states(seed=2):
-            assert mask_group_size(mask_of(state)) == len(state)
-
-    def test_membership(self):
-        state = (0, 3, 7)
-        mask = mask_of(state)
-        for rank in range(10):
-            assert mask_contains(mask, rank) == (rank in state)
-
     def test_duplicates_collapse(self):
         assert mask_of((2, 2, 5)) == mask_of((5, 2))
 
-    def test_is_below_agrees_with_tuple(self):
-        # Exhaustive over a small space: every ordered pair of states.
-        states = [s for size in range(4) for s in combinations(range(5), size)]
-        for a in states:
-            for b in states:
-                assert mask_is_below(mask_of(a), mask_of(b)) == is_below(a, b)
-
-    def test_is_below_random_pairs(self):
-        rng = random.Random(7)
-        states = random_states(seed=8, k=12, count=300)
-        for _ in range(600):
-            a, b = rng.choice(states), rng.choice(states)
-            assert mask_is_below(mask_of(a), mask_of(b)) == is_below(a, b)
-
-
-class TestMaskTransitions:
-    """Each mask transition must emit the same neighbors in the same
-    order as its tuple twin (the algorithms rely on the ordering)."""
-
-    def test_horizontal(self):
-        for state in random_states(seed=3):
-            expected = tr.horizontal(state, K)
-            got = tr.horizontal_mask(mask_of(state), K)
-            assert (state_of(got) if got is not None else None) == expected
-
-    def test_horizontal_empty_state(self):
-        assert tr.horizontal_mask(0, K) == 1
-        assert tr.horizontal_mask(0, 0) is None
-
-    def test_vertical_order_preserved(self):
-        for state in random_states(seed=4):
-            expected = tr.vertical(state, K)
-            got = [state_of(m) for m in tr.vertical_mask(mask_of(state), K)]
-            assert got == expected
-
-    def test_horizontal2_order_preserved(self):
-        for state in random_states(seed=5):
-            expected = tr.horizontal2(state, K)
-            got = [state_of(m) for m in tr.horizontal2_mask(mask_of(state), K)]
-            assert got == expected
-
-    def test_vertical_predecessors(self):
-        for state in random_states(seed=6):
-            expected = tr.vertical_predecessors(state, K)
-            got = [
-                state_of(m) for m in tr.vertical_predecessors_mask(mask_of(state), K)
-            ]
-            assert got == expected
-
 
 class TestEvaluatorKernelEquivalence:
-    """doi/cost/size via masks == via tuples, bit-exact, on >=200 random
-    states per configuration."""
+    """doi/cost/size of the mask kernel equal the paper's formulas
+    written out over the state's P-indices in ascending order, bit-exact,
+    on >=200 random states per configuration."""
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_plain_evaluator(self, seed):
         evaluator = synthetic_evaluator(seed)
         for state in random_states(seed=seed * 100):
             mask = mask_of(state)
-            assert evaluator.doi_mask(mask) == evaluator.doi(state)
-            assert evaluator.cost_mask(mask) == evaluator.cost(state)
-            assert evaluator.size_mask(mask) == evaluator.size(state)
-            assert evaluator.size_independent_mask(mask) == evaluator.size_independent(
-                state
+            expected_doi = (
+                evaluator.algebra.conjunction_doi(
+                    [evaluator.doi_values[i] for i in state]
+                )
+                if state
+                else 0.0
             )
+            expected_cost = (
+                sum(evaluator.cost_values[i] for i in state)
+                if state
+                else evaluator.base_cost
+            )
+            expected_size = evaluator.base_size * math.prod(
+                evaluator.reductions[i] for i in state
+            )
+            assert evaluator.doi_mask(mask) == expected_doi
+            assert evaluator.cost_mask(mask) == expected_cost
+            assert evaluator.size_mask(mask) == expected_size
+            assert evaluator.size_independent_mask(mask) == expected_size
 
     def test_with_conflicts(self):
         conflicts = [(0, 3), (2, 5), (1, 7)]
         plain = synthetic_evaluator(21, conflicts=conflicts)
         for state in random_states(seed=22):
             mask = mask_of(state)
-            assert plain.size_mask(mask) == plain.size(state)
             conflicted = any(set(pair) <= set(state) for pair in conflicts)
             if conflicted:
                 assert plain.size_mask(mask) == 0.0
                 assert plain.size_independent_mask(mask) > 0.0
+            else:
+                assert plain.size_mask(mask) == plain.size_independent_mask(mask)
 
     def test_cached_evaluator_matches_plain(self):
         plain = synthetic_evaluator(31, conflicts=[(0, 4)])
@@ -149,52 +94,3 @@ class TestEvaluatorKernelEquivalence:
             assert cached.cost(state) == plain.cost(state)
             assert cached.size(state) == plain.size(state)
         assert cached.cache_hits > 0  # 200 random states of <= 2^16 collide
-
-
-class TestSolveLevelEquivalence:
-    """Every algorithm must return an identical solution with the mask
-    kernel on and off, on a real extracted preference space."""
-
-    @pytest.fixture(scope="class")
-    def pspace(self, movie_db, movie_profile):
-        from repro.sql.parser import parse_select
-
-        query = parse_select("select title from MOVIE")
-        # The full profile yields K=48 (2^48 states for the exhaustive
-        # algorithms); the top-10 slice keeps every solve sub-second.
-        return extract_preference_space(movie_db, query, movie_profile, k_limit=10)
-
-    def problems(self, pspace):
-        evaluator = pspace.evaluator()
-        supreme = evaluator.supreme_cost()
-        base = evaluator.base_size
-        return [
-            CQPProblem.problem1(smin=base * 0.02, smax=base * 0.8),
-            CQPProblem.problem2(cmax=supreme * 0.5),
-            CQPProblem.problem3(cmax=supreme * 0.6, smin=base * 0.02, smax=base * 0.9),
-            CQPProblem.problem4(dmin=0.3),
-        ]
-
-    def test_all_algorithms_identical(self, pspace):
-        for problem in self.problems(pspace):
-            algorithms = (
-                ["min_cost"]
-                if not problem.maximizing
-                else ["d_maxdoi", "d_singlemaxdoi", "c_boundaries", "c_maxbounds", "d_heurdoi"]
-            )
-            for algorithm in algorithms:
-                masked = adapters.solve(pspace, problem, algorithm, mask_kernel=True)
-                tupled = adapters.solve(pspace, problem, algorithm, mask_kernel=False)
-                if masked is None:
-                    assert tupled is None, (problem, algorithm)
-                    continue
-                assert tupled is not None, (problem, algorithm)
-                assert masked.pref_indices == tupled.pref_indices, (problem, algorithm)
-                assert masked.doi == tupled.doi
-                assert masked.cost == tupled.cost
-                assert masked.size == tupled.size
-                # Same work performed: the kernels only change representation.
-                assert (
-                    masked.stats.parameter_evaluations
-                    == tupled.stats.parameter_evaluations
-                ), (problem, algorithm)

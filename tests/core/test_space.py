@@ -22,9 +22,9 @@ class TestSearchSpace:
             SearchSpace(
                 vector=[0, 0, 1],
                 evaluator=evaluator,
-                budget=evaluator.cost,
+                budget=evaluator.cost_mask,
                 limit=10,
-                objective=evaluator.doi,
+                objective=evaluator.doi_mask,
                 objective_upper_bound=evaluator.best_doi_of_size,
                 budget_aligned=True,
             )

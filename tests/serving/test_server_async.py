@@ -17,10 +17,10 @@ from repro.core.context import SearchContext
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.service import BatchRequest, PersonalizationService
-from repro.errors import PreferenceError
+from repro.errors import PreferenceError, SearchError
 from repro.serving.admission import AdmissionRejected
 from repro.serving.config import ServingConfig
-from repro.serving.server import AsyncPersonalizationServer
+from repro.serving.server import AsyncPersonalizationServer, ServedResponse
 from repro.testing.differential import Receipt
 from repro.testing.faults import FaultInjector, FaultPlan
 
@@ -128,6 +128,53 @@ class TestSubmitValidation:
         admitted, served = run(serve())
         assert admitted == 1
         assert served.response.personalized
+
+    def test_unbindable_query_fails_only_its_caller(
+        self, serving_service, serving_requests
+    ):
+        # A good/bad/good burst parked in one batch window: the query
+        # naming a column no relation has must fail at its own submit,
+        # and both batch-mates must be served as request() serves them.
+        good = [serving_requests[0], serving_requests[1]]
+        bad = BatchRequest(
+            user="pat",
+            query="select nosuchcol from MOVIE",
+            problem=good[0].problem,
+            k_limit=good[0].k_limit,
+        )
+        config = tiny_config(batch_window_ms=60_000.0, max_batch=64)
+
+        async def serve():
+            async with AsyncPersonalizationServer(
+                serving_service, config=config
+            ) as server:
+                tasks = [
+                    asyncio.ensure_future(server.submit(request))
+                    for request in (good[0], bad, good[1])
+                ]
+                await asyncio.sleep(0)
+                await server.drain()
+                outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+                return server.admission.admitted, outcomes
+
+        admitted, (first, failed, second) = run(serve())
+        assert isinstance(failed, SearchError)
+        assert "nosuchcol" in str(failed)
+        assert admitted == 2
+        for served, request in zip((first, second), good):
+            assert isinstance(served, ServedResponse), served
+            expected = serving_service.request(
+                request.user,
+                request.query,
+                problem=request.problem,
+                algorithm=request.algorithm,
+                k_limit=request.k_limit,
+            )
+            assert Receipt.of(served.response.outcome.solution) == Receipt.of(
+                expected.outcome.solution
+            )
+            assert served.response.outcome.sql == expected.outcome.sql
+            assert served.response.rows == expected.rows
 
     def test_submit_requires_a_started_server(self, serving_service, serving_requests):
         server = AsyncPersonalizationServer(serving_service)
